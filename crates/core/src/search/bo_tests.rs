@@ -397,3 +397,58 @@ fn max_steps_is_respected() {
     assert_eq!(out.steps.len(), 2 + 5);
     assert_eq!(out.stop_reason, StopReason::MaxSteps);
 }
+
+/// Wraps an env and refuses every launch of one deployment, counting the
+/// attempts.
+struct RefusingEnv<E> {
+    inner: E,
+    refused: Deployment,
+    attempts: usize,
+}
+
+impl<E: ProfilingEnv> ProfilingEnv for RefusingEnv<E> {
+    fn space(&self) -> &SearchSpace {
+        self.inner.space()
+    }
+    fn total_samples(&self) -> f64 {
+        self.inner.total_samples()
+    }
+    fn quote(&self, d: &Deployment) -> (SimDuration, Money) {
+        self.inner.quote(d)
+    }
+    fn profile(&mut self, d: &Deployment) -> Result<Observation, crate::env::ProfileError> {
+        if *d == self.refused {
+            self.attempts += 1;
+            return Err(crate::env::ProfileError::Failed("capacity refused".into()));
+        }
+        self.inner.profile(d)
+    }
+    fn elapsed(&self) -> SimDuration {
+        self.inner.elapsed()
+    }
+    fn spent(&self) -> Money {
+        self.inner.spent()
+    }
+}
+
+#[test]
+fn a_refused_probe_is_retired_not_retried() {
+    // Under a 6 h deadline the infeasible-incumbent frontier chases
+    // c5.4xlarge x4. A refused launch takes no simulated time, so a
+    // search that left the refused candidate in the pool re-picked it
+    // forever with the clock frozen. The search must end, and must ask
+    // for the refused deployment exactly once.
+    let refused = Deployment::new(InstanceType::C54xlarge, 4);
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut env = RefusingEnv { inner: make_env(), refused, attempts: 0 };
+        let deadline = Scenario::CheapestWithDeadline(SimDuration::from_hours(6.0));
+        let out = HeterBo::seeded(1).search(&mut env, &deadline);
+        let _ = tx.send((env.attempts, out.steps.len()));
+    });
+    let (attempts, steps) = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("search livelocked on a refused probe");
+    assert_eq!(attempts, 1, "the refused deployment must be retired after one attempt");
+    assert!(steps > 0);
+}

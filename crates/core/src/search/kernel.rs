@@ -36,8 +36,10 @@ use super::policies::feasibility::TEI_SIGMAS;
 pub const HATCH_FRACTION: f64 = 0.5;
 
 /// Probe one deployment and record it: observation list, step log and
-/// trace. On failure only a [`TraceEvent::ProbeFailed`] is recorded — the
-/// caller decides whether the deployment is retired from the pool.
+/// trace. The deployment is retired from the pool either way: a refused
+/// launch takes no simulated time, so leaving it in the pool would let
+/// the next step re-pick it forever with the clock frozen. On failure
+/// only a [`TraceEvent::ProbeFailed`] is traced.
 #[allow(clippy::too_many_arguments)]
 fn probe_once(
     d: &Deployment,
@@ -48,10 +50,10 @@ fn probe_once(
     sink: &mut dyn TraceSink,
     init: bool,
 ) -> Result<(), ProfileError> {
+    probed.push(*d);
     match env.profile(d) {
         Ok(obs) => {
             observations.push(obs);
-            probed.push(*d);
             steps.push(SearchStep {
                 index: steps.len() + 1,
                 observation: obs,
@@ -534,10 +536,7 @@ impl SearchKernel {
             if probe_once(&d_next, env, &mut observations, &mut steps, &mut probed, sink, false)
                 .is_err()
             {
-                // Cloud refused (quota etc.) — drop it from the pool by
-                // marking it probed, and continue.
-                probed.push(d_next);
-                continue;
+                continue; // nothing new for the pruners to observe
             }
             for p in self.pruners.iter_mut() {
                 p.observe(&observations, sink);

@@ -1,26 +1,29 @@
 //! The fleet driver: one thread per tenant, one runnable at a time.
 //!
 //! [`FleetSim::run`] expands the scenario, boots the shared
-//! [`SimCloud`], and plays arrivals, wake-ups and scheduler decisions in
-//! a strict handoff loop:
+//! [`SimCloud`], and moves tenant messages and clock time around the
+//! pool's [`Arbiter`], which owns every admission rule. The driver only
+//! hands off and advances the clock, in a strict loop:
 //!
-//! 1. **Arrivals** due at the current instant spawn their tenant thread
-//!    and run it until it blocks (on a launch request or a time wait).
+//! 1. **Arrivals** due at the current instant join the arbiter, spawn
+//!    their tenant thread and run it until it blocks (on a launch request
+//!    or a time wait).
 //! 2. **Wakes**: every tenant whose wake-up instant has been reached is
-//!    resumed — exhaustively, one at a time — before any scheduling
+//!    resumed — exhaustively, one at a time — before any settlement
 //!    happens, so the pending-request set at decision time does not
 //!    depend on wake order (the drain-order invariance the proptest
 //!    pins).
-//! 3. **Decisions**: the policy is consulted repeatedly; each grant is
-//!    executed by the driver itself (launches, and therefore the shared
-//!    provisioning RNG draws, happen in policy order, never in thread
-//!    order), each denial fails the tenant's launch with
-//!    [`CloudError::Denied`].
+//! 3. **Settlements**: the arbiter settles requests one at a time until
+//!    its policy waits. The driver launches each grant itself (so launches,
+//!    and with them the shared provisioning RNG draws, happen in
+//!    settlement order, never in thread order) and reports the launch
+//!    back; a denial fails the tenant's launch with
+//!    [`CloudError::Denied`](mlcd_cloudsim::CloudError::Denied).
 //! 4. **Advance**: when nothing is runnable, the clock moves to the next
 //!    arrival or wake-up, dispatching every sim event in between. If the
 //!    pool is wedged (requests pending, nothing to advance to), the
-//!    oldest request is force-granted and surfaces the provider's real
-//!    capacity error to its tenant.
+//!    arbiter force-grants the oldest request, whose launch surfaces the
+//!    provider's real answer to its tenant.
 //!
 //! Tenants never touch the engine directly while time moves; the only
 //! shared-state calls they make with the clock frozen are terminations,
@@ -28,21 +31,19 @@
 //! covers billing sums and per-job outcomes, not event sequence
 //! numbers).
 
-use mlcd::env::paper_probe_duration;
 use mlcd::prelude::{
     Deployment, ExperimentOutcome, ExperimentRunner, Money, Observation, ProfileError,
     ProfilingEnv, Scenario, SearchSpace, SimDuration, SimTime,
 };
 use mlcd::search::searcher_by_name;
-use mlcd_cloudsim::{CloudError, ClusterId, SimCloud, SimEvent, SpotMarket};
+use mlcd_cloudsim::{SimCloud, SimEvent, SpotMarket};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
+use crate::arbiter::{Arbiter, Verdict};
 use crate::outcome::{aggregate, FleetJobOutcome, FleetOutcome};
-use crate::policy::{
-    Decision, FleetEventFold, FleetScheduler, FleetView, JobCtx, JobId, PendingReq, Purpose,
-};
+use crate::policy::{FleetEventFold, FleetScheduler, JobId, Purpose};
 use crate::scenario::{FleetJob, FleetScenario};
 use crate::tenant::{DriverReply, TenantCloud, TenantLink, TenantMsg};
 
@@ -108,26 +109,16 @@ impl<E: ProfilingEnv> ProfilingEnv for SerialEnv<'_, E> {
     }
 }
 
-/// What a tenant is doing right now, from the driver's perspective.
-enum TState {
-    /// Parked on a launch request, waiting for the scheduler.
-    AwaitingGrant(PendingReq),
-    /// Sleeping until the clock reaches the instant.
-    Blocked(SimTime),
-    /// Thread finished (outcome retrieved at join time).
-    Done,
-}
-
 struct Slot {
     reply: Sender<DriverReply>,
-    state: TState,
+    /// `Some(t)`: sleeping until the clock reaches `t`. `None`: parked
+    /// on a launch request at the arbiter, or finished.
+    wake_at: Option<SimTime>,
     phase: Purpose,
-    ctx: JobCtx,
-    queue_wait: SimDuration,
-    completed_at: Option<SimTime>,
-    missed: bool,
-    clusters: Vec<ClusterId>,
-    handle: Option<JoinHandle<Option<ExperimentOutcome>>>,
+    /// Written when the tenant finishes; the search outcome joins it at
+    /// the end of the run.
+    record: Option<FleetJobOutcome>,
+    handle: JoinHandle<Option<ExperimentOutcome>>,
 }
 
 /// A configured fleet simulation, ready to [`run`](FleetSim::run).
@@ -151,118 +142,83 @@ impl FleetSim {
     }
 
     /// Run the whole fleet to completion.
-    pub fn run(mut self) -> FleetOutcome {
-        let policy_name = self.policy.name();
-        let fleet_jobs = self.scenario.jobs();
-        let mut shared = SimCloud::new(self.scenario.seed);
+    pub fn run(self) -> FleetOutcome {
+        let FleetSim { scenario, policy, drain } = self;
+        let policy_name = policy.name();
+        let fleet_jobs = scenario.jobs();
+        let mut shared = SimCloud::new(scenario.seed);
         shared.set_market(SpotMarket {
-            seed: self.scenario.seed,
-            mode: self.scenario.market,
+            seed: scenario.seed,
+            mode: scenario.market,
             ..SpotMarket::default()
         });
         let mut caps: BTreeMap<_, u32> = BTreeMap::new();
-        for &itype in &self.scenario.types {
-            let cap = self.scenario.cap_for(itype);
+        for &itype in &scenario.types {
+            let cap = scenario.cap_for(itype);
             shared.set_capacity(itype, cap);
             caps.insert(itype, cap);
         }
 
         let (msg_tx, msg_rx) = channel::<TenantMsg>();
-        let mut slots: BTreeMap<JobId, Slot> = BTreeMap::new();
         let mut queue: VecDeque<FleetJob> = fleet_jobs.iter().cloned().collect();
-        let mut fold = FleetEventFold::default();
-        let jobs_by_id: BTreeMap<JobId, FleetJob> =
-            fleet_jobs.into_iter().map(|j| (j.id, j)).collect();
+        let mut d = Driver {
+            shared,
+            arbiter: Arbiter::new(policy, caps),
+            slots: BTreeMap::new(),
+            fold: FleetEventFold::default(),
+            msg_rx,
+            jobs_by_id: fleet_jobs.into_iter().map(|j| (j.id, j)).collect(),
+        };
 
         loop {
-            let now = shared.now();
+            let now = d.shared.now();
 
             // 1. Arrivals due at this instant.
             let mut progressed = false;
             while queue.front().is_some_and(|j| j.arrival.as_secs() <= now.as_secs()) {
                 let job = queue.pop_front().expect("front checked");
                 let id = job.id;
+                let deadline_at = match job.scenario {
+                    Scenario::CheapestWithDeadline(dl) => Some(job.arrival + dl),
+                    _ => None,
+                };
+                d.arbiter.join(id, job.priority, now, deadline_at);
                 let slot = spawn_tenant(
                     job,
                     msg_tx.clone(),
-                    shared.clone(),
-                    self.scenario.types.clone(),
-                    self.scenario.max_nodes,
-                    now,
+                    d.shared.clone(),
+                    scenario.types.clone(),
+                    scenario.max_nodes,
                 );
-                slots.insert(id, slot);
-                let ev = SimEvent::JobArrived { job: id };
-                fold.on_event(&ev);
-                shared.emit_now(ev);
-                pump(&msg_rx, &mut slots, &shared, id, &mut fold, &jobs_by_id);
+                d.slots.insert(id, slot);
+                d.emit(SimEvent::JobArrived { job: id });
+                d.pump(id);
                 progressed = true;
             }
 
             // 2. Wake every tenant whose instant has come, exhaustively.
             loop {
-                let due: Vec<JobId> = slots
+                let due: Vec<JobId> = d
+                    .slots
                     .iter()
-                    .filter_map(|(id, s)| match s.state {
-                        TState::Blocked(t) if t.as_secs() <= now.as_secs() => Some(*id),
-                        _ => None,
-                    })
+                    .filter(|(_, s)| s.wake_at.is_some_and(|t| t.as_secs() <= now.as_secs()))
+                    .map(|(id, _)| *id)
                     .collect();
                 if due.is_empty() {
                     break;
                 }
-                let id = self.drain.pick(&due);
-                let slot = slots.get_mut(&id).expect("due slot");
-                slot.state = TState::Done; // placeholder; pump sets the real state
+                let id = drain.pick(&due);
+                let slot = d.slots.get_mut(&id).expect("due slot");
+                slot.wake_at = None;
                 slot.reply.send(DriverReply::Woken).expect("tenant alive");
-                pump(&msg_rx, &mut slots, &shared, id, &mut fold, &jobs_by_id);
+                d.pump(id);
                 progressed = true;
             }
 
-            // 3. Scheduler decisions at this instant.
-            loop {
-                // Requests no policy could ever admit (larger than the
-                // cap or quota) are settled immediately with the
-                // provider's real error, so no policy needs an
-                // impossibility rule.
-                let impossible = oldest_pending(&slots, |req| {
-                    let cap = caps.get(&req.itype).copied().unwrap_or(0);
-                    req.n > cap.min(shared.quota(req.itype))
-                });
-                if let Some(id) = impossible {
-                    settle_grant(&mut slots, &shared, id, &mut fold);
-                    pump(&msg_rx, &mut slots, &shared, id, &mut fold, &jobs_by_id);
-                    progressed = true;
-                    continue;
-                }
-
-                let decision = {
-                    let (pending, jobs, free) = view_parts(&slots, &caps, &shared);
-                    if pending.is_empty() {
-                        Decision::Wait
-                    } else {
-                        let view = FleetView {
-                            now: shared.now(),
-                            caps: &caps,
-                            free: &free,
-                            pending: &pending,
-                            jobs: &jobs,
-                        };
-                        self.policy.decide(&view)
-                    }
-                };
-                match decision {
-                    Decision::Grant(id) => {
-                        settle_grant(&mut slots, &shared, id, &mut fold);
-                        pump(&msg_rx, &mut slots, &shared, id, &mut fold, &jobs_by_id);
-                        progressed = true;
-                    }
-                    Decision::Deny(id) => {
-                        settle_deny(&mut slots, &shared, id, &mut fold);
-                        pump(&msg_rx, &mut slots, &shared, id, &mut fold, &jobs_by_id);
-                        progressed = true;
-                    }
-                    Decision::Wait => break,
-                }
+            // 3. Admission decisions at this instant.
+            while let Some((id, verdict)) = d.arbiter.settle(&d.shared) {
+                d.deliver(id, verdict);
+                progressed = true;
             }
 
             if progressed {
@@ -273,233 +229,128 @@ impl FleetSim {
 
             // 4. Advance the clock (or break the stall, or finish).
             let next_arrival = queue.front().map(|j| j.arrival);
-            let next_wake = slots
+            let target = d
+                .slots
                 .values()
-                .filter_map(|s| match s.state {
-                    TState::Blocked(t) => Some(t),
-                    _ => None,
-                })
+                .filter_map(|s| s.wake_at)
+                .chain(next_arrival)
                 .min_by(|a, b| a.as_secs().total_cmp(&b.as_secs()));
-            let target = match (next_arrival, next_wake) {
-                (Some(a), Some(w)) => Some(if a.as_secs() <= w.as_secs() { a } else { w }),
-                (Some(a), None) => Some(a),
-                (None, Some(w)) => Some(w),
-                (None, None) => None,
-            };
             match target {
                 Some(t) => {
-                    shared.run_until(t);
+                    d.shared.run_until(t);
                 }
-                None => {
-                    // Nothing to advance to. If requests are pending the
-                    // policy has wedged the pool — force the oldest
-                    // through so the provider's capacity error unwedges
-                    // its tenant.
-                    if let Some(id) = oldest_pending(&slots, |_| true) {
-                        settle_grant(&mut slots, &shared, id, &mut fold);
-                        pump(&msg_rx, &mut slots, &shared, id, &mut fold, &jobs_by_id);
-                        continue;
-                    }
-                    break; // every tenant Done, no arrivals left
-                }
+                // Nothing to advance to. If requests are pending the
+                // policy has wedged the pool: force the oldest through
+                // so the provider's answer unwedges its tenant.
+                None => match d.arbiter.force_oldest() {
+                    Some((id, verdict)) => d.deliver(id, verdict),
+                    None => break, // every tenant done, no arrivals left
+                },
             }
         }
 
         // Collect tenants (all have sent Finished, so joins are instant).
         let mut job_outcomes = Vec::new();
-        for (id, mut slot) in slots {
-            let outcome = slot.handle.take().and_then(|h| h.join().expect("tenant thread joined"));
-            let job = jobs_by_id.get(&id).expect("known job");
-            job_outcomes.push(FleetJobOutcome {
-                id,
-                priority: job.priority,
-                arrived_at: job.arrival,
-                completed_at: slot.completed_at.unwrap_or(job.arrival),
-                queue_wait: slot.queue_wait,
-                granted: slot.ctx.granted,
-                denied: slot.ctx.denied,
-                missed: slot.missed,
-                outcome,
-            });
+        for (_, slot) in d.slots {
+            let mut record = slot.record.expect("every tenant finished");
+            record.outcome = slot.handle.join().expect("tenant thread joined");
+            job_outcomes.push(record);
         }
-        aggregate(policy_name, &self.scenario, job_outcomes, &fold, &shared)
+        aggregate(policy_name, &scenario, job_outcomes, &d.fold, &d.shared)
     }
 }
 
-/// The oldest pending request satisfying `pred`, by (request age, job).
-fn oldest_pending(
-    slots: &BTreeMap<JobId, Slot>,
-    pred: impl Fn(&PendingReq) -> bool,
-) -> Option<JobId> {
-    slots
-        .iter()
-        .filter_map(|(id, s)| match &s.state {
-            TState::AwaitingGrant(req) if pred(req) => {
-                Some(((req.requested_at.as_secs().to_bits(), *id), *id))
-            }
-            _ => None,
-        })
-        .min()
-        .map(|(_, id)| id)
+/// The driver's state for one run.
+struct Driver {
+    shared: SimCloud,
+    arbiter: Arbiter,
+    slots: BTreeMap<JobId, Slot>,
+    fold: FleetEventFold,
+    msg_rx: Receiver<TenantMsg>,
+    jobs_by_id: BTreeMap<JobId, FleetJob>,
 }
 
-/// Snapshot the scheduler's view: pending requests, per-job context and
-/// free capacity.
-fn view_parts(
-    slots: &BTreeMap<JobId, Slot>,
-    caps: &BTreeMap<mlcd::prelude::InstanceType, u32>,
-    shared: &SimCloud,
-) -> (
-    BTreeMap<JobId, PendingReq>,
-    BTreeMap<JobId, JobCtx>,
-    BTreeMap<mlcd::prelude::InstanceType, u32>,
-) {
-    let mut pending = BTreeMap::new();
-    let mut jobs = BTreeMap::new();
-    let billing = shared.billing();
-    for (id, slot) in slots {
-        if let TState::AwaitingGrant(req) = &slot.state {
-            pending.insert(*id, *req);
-        }
-        if !matches!(slot.state, TState::Done) {
-            let mut ctx = slot.ctx;
-            ctx.spent = slot.clusters.iter().map(|c| billing.cost_for_cluster(*c)).sum();
-            jobs.insert(*id, ctx);
-        }
+impl Driver {
+    /// Record a fleet event and dispatch it through the shared provider.
+    fn emit(&mut self, ev: SimEvent) {
+        self.fold.on_event(&ev);
+        self.shared.emit_now(ev);
     }
-    let free = caps
-        .iter()
-        .map(|(&itype, &cap)| (itype, shared.capacity_available(itype).unwrap_or(cap)))
-        .collect();
-    (pending, jobs, free)
-}
 
-/// Execute a grant: perform the launch on the shared provider (this is
-/// where cluster ids and provisioning RNG draws are consumed, in policy
-/// order) and hand the result to the tenant. Only a successful launch
-/// counts and emits as a grant; a provider failure is recorded as a
-/// denial.
-fn settle_grant(
-    slots: &mut BTreeMap<JobId, Slot>,
-    shared: &SimCloud,
-    id: JobId,
-    fold: &mut FleetEventFold,
-) {
-    let slot = slots.get_mut(&id).expect("granted slot");
-    let TState::AwaitingGrant(req) = std::mem::replace(&mut slot.state, TState::Done) else {
-        panic!("fleet protocol: grant for a job with no pending request");
-    };
-    let res = if req.spot {
-        shared.launch_spot(req.itype, req.n)
-    } else {
-        shared.launch(req.itype, req.n)
-    };
-    let waited = shared.now().since(req.requested_at);
-    match &res {
-        Ok(c) => {
-            slot.queue_wait += waited;
-            slot.ctx.granted += 1;
-            slot.clusters.push(c.id);
-            let ev = SimEvent::ProbeGranted { job: id, waited };
-            fold.on_event(&ev);
-            shared.emit_now(ev);
-        }
-        Err(_) => {
-            // Forced settlements (impossible requests, the wedge-breaker)
-            // can fail at the provider. The tenant sees the real error
-            // either way; for the fleet record this is a refusal, not a
-            // grant — counting it as granted would inflate grant counts
-            // and queue-wait averages in the digest with launches that
-            // never happened.
-            slot.ctx.denied += 1;
-            let ev = SimEvent::ProbeDenied { job: id };
-            fold.on_event(&ev);
-            shared.emit_now(ev);
-        }
-    }
-    slot.reply.send(DriverReply::Launched(res)).expect("tenant alive");
-}
-
-/// Execute a denial: the tenant's launch fails with
-/// [`CloudError::Denied`] and its searcher drops the candidate.
-fn settle_deny(
-    slots: &mut BTreeMap<JobId, Slot>,
-    shared: &SimCloud,
-    id: JobId,
-    fold: &mut FleetEventFold,
-) {
-    let slot = slots.get_mut(&id).expect("denied slot");
-    let TState::AwaitingGrant(_) = std::mem::replace(&mut slot.state, TState::Done) else {
-        panic!("fleet protocol: denial for a job with no pending request");
-    };
-    slot.ctx.denied += 1;
-    let ev = SimEvent::ProbeDenied { job: id };
-    fold.on_event(&ev);
-    shared.emit_now(ev);
-    let denied = CloudError::Denied { reason: "fleet admission: probe throttled under contention" };
-    slot.reply.send(DriverReply::Launched(Err(denied))).expect("tenant alive");
-}
-
-/// Receive messages from the just-woken tenant until it parks again
-/// (request, sleep or exit). Strict handoff guarantees the next message
-/// can only come from that tenant.
-fn pump(
-    msg_rx: &Receiver<TenantMsg>,
-    slots: &mut BTreeMap<JobId, Slot>,
-    shared: &SimCloud,
-    expected: JobId,
-    fold: &mut FleetEventFold,
-    jobs_by_id: &BTreeMap<JobId, FleetJob>,
-) {
-    loop {
-        let msg = msg_rx.recv().expect("a runnable tenant exists");
-        match msg {
-            TenantMsg::Launch { job, itype, n, spot } => {
-                debug_assert_eq!(job, expected, "handoff violated");
-                let slot = slots.get_mut(&job).expect("known job");
-                let quoted_hours = paper_probe_duration(n.max(1)).as_hours();
-                slot.state = TState::AwaitingGrant(PendingReq {
-                    itype,
-                    n,
-                    spot,
-                    purpose: slot.phase,
-                    requested_at: shared.now(),
-                    quoted_cost: Money::from_dollars(
-                        itype.hourly_usd() * f64::from(n) * quoted_hours,
-                    ),
-                });
-                return;
-            }
-            TenantMsg::BlockUntil { job, until } => {
-                debug_assert_eq!(job, expected, "handoff violated");
-                slots.get_mut(&job).expect("known job").state = TState::Blocked(until);
-                return;
-            }
-            TenantMsg::SearchDone { job } => {
-                debug_assert_eq!(job, expected, "handoff violated");
-                let slot = slots.get_mut(&job).expect("known job");
-                slot.phase = Purpose::Train;
-                slot.reply.send(DriverReply::Woken).expect("tenant alive");
-                // The tenant continues straight into training; keep
-                // pumping until it parks.
-            }
-            TenantMsg::Finished { job } => {
-                debug_assert_eq!(job, expected, "handoff violated");
-                let now = shared.now();
-                let slot = slots.get_mut(&job).expect("known job");
-                slot.state = TState::Done;
-                slot.completed_at = Some(now);
-                let spec = jobs_by_id.get(&job).expect("known job");
-                slot.missed = match spec.scenario {
-                    Scenario::CheapestWithDeadline(d) => {
-                        now.since(spec.arrival).as_secs() > d.as_secs()
-                    }
-                    _ => false,
+    /// Hand a verdict to its tenant. A grant is launched here, by the
+    /// driver, so cluster ids and provisioning RNG draws are consumed in
+    /// settlement order, never in thread order.
+    fn deliver(&mut self, id: JobId, verdict: Verdict) {
+        let (res, ev) = match verdict {
+            Verdict::Grant(req) => {
+                let res = if req.spot {
+                    self.shared.launch_spot(req.itype, req.n)
+                } else {
+                    self.shared.launch(req.itype, req.n)
                 };
-                let ev = SimEvent::JobCompleted { job, missed: slot.missed };
-                fold.on_event(&ev);
-                shared.emit_now(ev);
-                return;
+                let ev =
+                    self.arbiter.on_launch(id, res.as_ref().ok().map(|c| c.id), self.shared.now());
+                (res, ev.expect("fleet protocol: a grant settles on its launch"))
+            }
+            Verdict::Deny => (Err(Verdict::denial()), SimEvent::ProbeDenied { job: id }),
+        };
+        self.emit(ev);
+        let slot = self.slots.get_mut(&id).expect("settled slot");
+        slot.reply.send(DriverReply::Launched(res)).expect("tenant alive");
+        self.pump(id);
+    }
+
+    /// Receive messages from the just-woken tenant until it parks again
+    /// (request, sleep or exit). Strict handoff guarantees the next
+    /// message can only come from that tenant.
+    fn pump(&mut self, expected: JobId) {
+        loop {
+            let msg = self.msg_rx.recv().expect("a runnable tenant exists");
+            let now = self.shared.now();
+            match msg {
+                TenantMsg::Launch { job, itype, n, spot } => {
+                    debug_assert_eq!(job, expected, "handoff violated");
+                    let phase = self.slots.get(&job).expect("known job").phase;
+                    self.arbiter.request(job, itype, n, spot, phase, now);
+                    return;
+                }
+                TenantMsg::BlockUntil { job, until } => {
+                    debug_assert_eq!(job, expected, "handoff violated");
+                    self.slots.get_mut(&job).expect("known job").wake_at = Some(until);
+                    return;
+                }
+                TenantMsg::SearchDone { job } => {
+                    debug_assert_eq!(job, expected, "handoff violated");
+                    let slot = self.slots.get_mut(&job).expect("known job");
+                    slot.phase = Purpose::Train;
+                    slot.reply.send(DriverReply::Woken).expect("tenant alive");
+                    // The tenant continues straight into training; keep
+                    // pumping until it parks.
+                }
+                TenantMsg::Finished { job } => {
+                    debug_assert_eq!(job, expected, "handoff violated");
+                    let spec = self.jobs_by_id.get(&job).expect("known job");
+                    let missed = match spec.scenario {
+                        Scenario::CheapestWithDeadline(d) => {
+                            now.since(spec.arrival).as_secs() > d.as_secs()
+                        }
+                        _ => false,
+                    };
+                    let account = self.arbiter.leave(job).expect("arrived job");
+                    self.slots.get_mut(&job).expect("known job").record = Some(FleetJobOutcome {
+                        id: job,
+                        priority: spec.priority,
+                        arrived_at: spec.arrival,
+                        completed_at: now,
+                        queue_wait: account.queue_wait,
+                        granted: account.ctx.granted,
+                        denied: account.ctx.denied,
+                        missed,
+                        outcome: None,
+                    });
+                    self.emit(SimEvent::JobCompleted { job, missed });
+                    return;
+                }
             }
         }
     }
@@ -513,23 +364,10 @@ fn spawn_tenant(
     shared: SimCloud,
     types: Vec<mlcd::prelude::InstanceType>,
     max_nodes: u32,
-    now: SimTime,
 ) -> Slot {
     let (reply_tx, reply_rx) = channel::<DriverReply>();
     let id = job.id;
     let finish_tx = msg_tx.clone();
-    let deadline_at = match job.scenario {
-        Scenario::CheapestWithDeadline(d) => Some(job.arrival + d),
-        _ => None,
-    };
-    let ctx = JobCtx {
-        priority: job.priority,
-        arrived_at: now,
-        deadline_at,
-        spent: Money::ZERO,
-        granted: 0,
-        denied: 0,
-    };
     let handle = std::thread::spawn(move || {
         let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let link = TenantLink { job: job.id, tx: msg_tx, rx: reply_rx };
@@ -552,13 +390,9 @@ fn spawn_tenant(
     });
     Slot {
         reply: reply_tx,
-        state: TState::Blocked(now), // immediately due: pump() reads the first message
+        wake_at: None, // the arrival step pumps its first message directly
         phase: Purpose::Probe,
-        ctx,
-        queue_wait: SimDuration::ZERO,
-        completed_at: None,
-        missed: false,
-        clusters: Vec::new(),
-        handle: Some(handle),
+        record: None,
+        handle,
     }
 }

@@ -7,8 +7,12 @@
 //! searches as *tenants* of one [`mlcd_cloudsim::SimCloud`]: every tenant
 //! drives the unmodified [`mlcd::prelude::Profiler`] through a
 //! [`tenant::TenantCloud`] shim whose lifecycle calls block on a central
-//! driver, and a [`policy::FleetScheduler`] arbitrates which tenant's
-//! launch is admitted against the shared capacity ledger.
+//! driver. Admission is settled by one [`arbiter::Arbiter`]: it builds
+//! requests, applies the rules no policy needs to repeat (impossible
+//! requests, the stall-breaker), asks a [`policy::FleetScheduler`] which
+//! tenant's launch is admitted against the shared capacity ledger, and
+//! keeps the grant/denial books. `mlcd-serve --fleet` settles its
+//! sessions' launches through the same arbiter.
 //!
 //! The whole simulation is deterministic: tenants run on real threads,
 //! but a strict handoff protocol keeps exactly one runnable at a time,
@@ -22,6 +26,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod arbiter;
 pub mod baseline;
 pub mod driver;
 pub mod outcome;
@@ -29,6 +34,7 @@ pub mod policy;
 pub mod scenario;
 pub mod tenant;
 
+pub use arbiter::{Arbiter, JobAccount, Verdict};
 pub use baseline::per_job_greedy_cost;
 pub use driver::{DrainOrder, FleetSim};
 pub use outcome::{FleetAggregate, FleetJobOutcome, FleetOutcome};

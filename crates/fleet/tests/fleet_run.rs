@@ -26,3 +26,25 @@ fn same_seed_same_digest() {
     let b = FleetSim::new(scenario, policy_by_name("fairshare").unwrap()).run();
     assert_eq!(a.digest(), b.digest());
 }
+
+#[test]
+fn refused_probes_cannot_livelock_a_fifo_fleet() {
+    // In these level-3 fleets a tenant's search requests a GPU cluster
+    // larger than the pool's cap. The refused launch takes no simulated
+    // time; a search that kept re-requesting it spun forever with the
+    // clock frozen. Each run sits behind a watchdog so a regression
+    // fails instead of hanging the test binary.
+    for seed in [3, 10] {
+        let scenario = FleetScenario::contended(3, seed);
+        let jobs = scenario.n_jobs;
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let out = FleetSim::new(scenario, policy_by_name("fifo").expect("known")).run();
+            let _ = tx.send(out.agg.completed);
+        });
+        let completed = rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .unwrap_or_else(|_| panic!("fifo fleet at level 3, seed {seed} livelocked"));
+        assert_eq!(completed, jobs, "seed {seed} lost jobs");
+    }
+}

@@ -265,6 +265,7 @@ const SIM_HANDLER_FILES: &[&str] = &[
     "crates/cloudsim/src/sim.rs",
     "crates/cloudsim/src/provider.rs",
     "crates/fleet/src/policy.rs",
+    "crates/fleet/src/arbiter.rs",
 ];
 
 /// R9: the one designated poison boundary — the only file in

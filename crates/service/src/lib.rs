@@ -40,7 +40,7 @@ pub mod session;
 pub mod sync;
 
 pub use cache::{CacheKey, CachedEnv, GridCache, GridKey, ProbeCache, ProvenanceLog};
-pub use fleet::{FleetCloud, FleetConfig, FleetCounters, FleetGateEnv, FleetPool};
+pub use fleet::{FleetConfig, FleetCounters};
 pub use journal::{
     commit_log_file, reconcile_commit_log, AppendError, CommitCrashPoint, CommitHandle,
     CommitLogEntry, CommitStats, GroupCommitter, JournalRecord, JournalWriter, SessionJournal,

@@ -1937,6 +1937,36 @@ mod tests {
     }
 
     #[test]
+    fn refused_fleet_probes_do_not_livelock_a_session() {
+        // A 2-GPU pool refuses most of the search space. A refused launch
+        // takes no simulated time, so a search that kept the refused
+        // candidate in its pool re-requested it forever.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let m = manager(ServiceConfig {
+                workers: 1,
+                fleet: Some(crate::fleet::FleetConfig {
+                    policy: "fifo".into(),
+                    cpu_cap: 4,
+                    gpu_cap: 2,
+                    ..Default::default()
+                }),
+                ..Default::default()
+            });
+            let mut spec = SubmitSpec::new("resnet-cifar10", "heterbo", 1);
+            spec.deadline_hours = Some(4.0);
+            spec.max_nodes = 16;
+            let id = m.submit(spec).unwrap();
+            let phase = m.session(id).expect("session exists").wait_terminal();
+            let _ = tx.send(phase.name());
+        });
+        let phase = rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("fleet session livelocked on a refused probe");
+        assert_eq!(phase, "done");
+    }
+
+    #[test]
     fn shutdown_drains_current_session_and_stops() {
         let m = manager(ServiceConfig { workers: 1, ..Default::default() });
         let id = m.submit(tiny_spec("resnet-cifar10", 5)).unwrap();
