@@ -1,13 +1,12 @@
 #![warn(missing_docs)]
 
-//! Benchmark harness regenerating every figure of the paper's evaluation.
+//! Harness regenerating every figure of the paper's evaluation.
 //!
 //! The paper's evaluation (§V) consists of Figures 1–3, 5 and 9–19 (it has
 //! no numbered tables). `cargo run -p mlcd-bench --bin figures --release --
-//! <id>|all` regenerates the rows/series each figure plots; the Criterion
-//! benches under `benches/` measure the computational cost of the machinery
-//! itself (GP fits, acquisition sweeps, search loops) plus the ablation
-//! timings.
+//! <id>|all` regenerates the rows/series each figure plots, plus the
+//! ablation study. What the machinery itself costs is measured by the
+//! benchmark in `perfbench/`, not here.
 //!
 //! Each figure module returns a [`report::FigReport`] — a printable text
 //! block plus a machine-readable JSON value that EXPERIMENTS.md is built

@@ -5,7 +5,7 @@
 //! (paying its heterogeneous time/money cost), and running totals of what
 //! profiling has consumed. The production implementation is the MLCD
 //! [`crate::system::Profiler`] running against the simulated cloud; tests
-//! and benchmarks can use [`SyntheticEnv`] with any response surface.
+//! can use [`SyntheticEnv`] with any response surface.
 
 use crate::deployment::{Deployment, SearchSpace};
 use crate::observation::Observation;
@@ -105,7 +105,7 @@ pub fn model_warmup(model_state_bytes: f64) -> SimDuration {
 
 /// A deterministic in-memory environment over an arbitrary response
 /// surface. Probes cost exactly the paper's quoted duration. Useful for
-/// unit tests, property tests and searcher benchmarks.
+/// unit tests and property tests.
 pub struct SyntheticEnv<F: Fn(&Deployment) -> f64> {
     space: SearchSpace,
     total_samples: f64,

@@ -7,7 +7,7 @@
 //! the table in [`crate::search`]) that [`BoCore::kernel`] translates
 //! into stage policies. This keeps the comparison honest — the baselines
 //! differ from HeterBO by exactly the mechanisms the paper claims matter,
-//! nothing else — and gives the ablation benchmarks their knobs for free.
+//! nothing else — and gives the ablation study its knobs for free.
 
 use crate::acquisition::AcquisitionKind;
 use crate::env::ProfilingEnv;
@@ -95,8 +95,8 @@ pub struct BoConfig {
     /// [`RefitPolicy::warm_start`]. The paper-faithful constructors
     /// leave this off: warm starts can land a (better) different
     /// likelihood optimum, which perturbs search trajectories and the
-    /// seed-pinned figure reproductions. Flip it on for speed — the
-    /// `search_gp_refits` bench measures the whole-search effect.
+    /// seed-pinned figure reproductions. Flip it on for speed — DESIGN.md
+    /// §6 "GP fit fast path" records the warm refit's measured cost.
     pub gp_warm_start: bool,
     /// Observation count from which warm-started refits shrink their
     /// restart budget. See [`RefitPolicy::warm_burnin`].

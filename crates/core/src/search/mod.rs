@@ -6,7 +6,7 @@
 //! [`policies::FeasibilityGate`], [`policies::AcquisitionPolicy`],
 //! [`policies::StopPolicy`]) are composed per searcher by
 //! [`bo::BoCore::kernel`] from the [`bo::BoConfig`] mechanism switches —
-//! which is also exactly what the ablation benchmarks toggle:
+//! which is also exactly what the ablation study toggles:
 //!
 //! | mechanism (paper §III-C)        | HeterBO | ConvBO | CherryPick |
 //! |---------------------------------|---------|--------|------------|

@@ -2,7 +2,7 @@
 //!
 //! A [`FleetScenario`] is a *generator*: a seed, an arrival process and a
 //! set of job templates expand deterministically into a concrete
-//! [`FleetJob`] list. Everything downstream (driver, goldens, benches)
+//! [`FleetJob`] list. Everything downstream (driver, goldens, benchmark)
 //! consumes the expanded list, so the same scenario value always
 //! reproduces the same fleet bit-for-bit.
 
@@ -106,7 +106,7 @@ pub struct FleetJob {
 }
 
 impl FleetScenario {
-    /// The contended presets the benches and goldens use: a finite pool
+    /// The contended presets the benchmark and goldens use: a finite pool
     /// with `level` ∈ 1..=3 turning up job pressure while turning down
     /// capacity. Level 2 and up are genuinely contended (pending probe
     /// demand routinely exceeds free capacity).

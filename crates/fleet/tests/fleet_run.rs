@@ -1,7 +1,7 @@
 //! End-to-end fleet runs: every policy drains a contended fleet to
 //! completion, bit-deterministically.
 
-use mlcd_fleet::{policy_by_name, FleetScenario, FleetSim, POLICY_NAMES};
+use mlcd_fleet::{per_job_greedy_cost, policy_by_name, FleetScenario, FleetSim, POLICY_NAMES};
 
 #[test]
 fn every_policy_drains_a_contended_fleet() {
@@ -47,4 +47,22 @@ fn refused_probes_cannot_livelock_a_fifo_fleet() {
             .unwrap_or_else(|_| panic!("fifo fleet at level 3, seed {seed} livelocked"));
         assert_eq!(completed, jobs, "seed {seed} lost jobs");
     }
+}
+
+#[test]
+fn fairshare_saves_over_greedy_and_fifo_at_level_3() {
+    // The contended level-3 preset at the figure seed: fair-share
+    // ($396.93) costs 12.6% less than running every job alone ($454.14)
+    // and less than FIFO ($451.37). Fair-share misses half its deadlines
+    // here, so this pins cost only, not compliance.
+    let scenario = FleetScenario::contended(3, 2020);
+    let cost = |name: &str| {
+        let policy = policy_by_name(name).expect("known policy");
+        FleetSim::new(scenario.clone(), policy).run().agg.total_cost.dollars()
+    };
+    let fairshare = cost("fairshare");
+    let fifo = cost("fifo");
+    let greedy = per_job_greedy_cost(&scenario).dollars();
+    assert!(fairshare <= 0.90 * greedy, "fairshare ${fairshare:.2} vs greedy ${greedy:.2}");
+    assert!(fairshare < fifo, "fairshare ${fairshare:.2} vs fifo ${fifo:.2}");
 }

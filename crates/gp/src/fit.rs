@@ -121,7 +121,7 @@ fn theta_in_bounds(theta: &[f64], d: usize, opts: &FitOptions) -> bool {
 /// Returns `+inf` for hyperparameters outside sane bounds or that make the
 /// kernel matrix unfactorable — the optimiser treats those as walls.
 /// [`CachedNlml`] is the fast path; this function is kept public as the
-/// ground truth the property tests and benchmarks compare it against.
+/// ground truth the property tests compare it against.
 pub fn nlml_naive(
     theta: &[f64],
     xs: &[Vec<f64>],

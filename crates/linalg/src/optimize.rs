@@ -41,7 +41,7 @@ pub struct OptResult {
     pub fx: f64,
     /// Number of objective evaluations consumed.
     pub evals: usize,
-    /// Whether a tolerance-based convergence criterion fired (as opposed to
+    /// Whether a tolerance-based convergence test fired (as opposed to
     /// running out of evaluations).
     pub converged: bool,
 }

@@ -19,7 +19,8 @@ use crate::syntax::{acquisitions, blocking_sites, is_terminal_in_stmt, Syntax};
 pub enum Rule {
     /// R1: no `HashMap`/`HashSet` iteration in outcome-feeding crates.
     HashIter,
-    /// R2: no wall-clock or OS-entropy sources outside the bench crate.
+    /// R2: no wall-clock or OS-entropy sources outside the service's
+    /// net/ logging layer.
     NondetSource,
     /// R3: no float `==`/`!=`, no `partial_cmp(..).unwrap()/expect(..)`.
     FloatCmp,
@@ -109,8 +110,8 @@ impl Rule {
                  Allow: `// lint: allow(hash-iter[, fn|file]) — <why order cannot leak>`"
             }
             Rule::NondetSource => {
-                "R2 nondet-source — no wall clock or OS entropy outside the bench crate\n\
-                 and the service net/ logging layer. Instant::now / SystemTime::now /\n\
+                "R2 nondet-source — no wall clock or OS entropy outside the service\n\
+                 net/ logging layer. Instant::now / SystemTime::now /\n\
                  thread_rng / from_entropy make a search non-reproducible.\n\
                  Fix: virtual time (SimClock) and SmallRng::seed_from_u64.\n\
                  Allow: `// lint: allow(nondet-source[, fn|file]) — <why this never feeds an outcome>`"
@@ -295,8 +296,8 @@ pub struct FileCtx {
     /// Cargo package the file belongs to (`mlcd`, `mlcd-gp`, …);
     /// `mlcd-repro` for the facade's `src/`, `tests/`, `examples/`.
     pub crate_name: String,
-    /// Whole file is test/bench/example code (integration tests, bench
-    /// targets, example binaries, `*_tests.rs` siblings).
+    /// Whole file is test/example code (integration tests, example
+    /// binaries, `*_tests.rs` siblings).
     pub is_test_file: bool,
     /// File is one of the R5 kernel hot paths.
     pub is_hot_path: bool,
@@ -327,7 +328,6 @@ impl FileCtx {
         let file_name = path.rsplit('/').next().unwrap_or("");
         let is_test_file = path.contains("/tests/")
             || path.starts_with("tests/")
-            || path.contains("/benches/")
             || path.contains("/examples/")
             || path.starts_with("examples/")
             || file_name == "tests.rs"
@@ -385,11 +385,9 @@ pub fn lint_source(rel_path: &str, source: &str) -> Vec<Violation> {
         }
     }
 
-    // R2 — wall-clock / OS entropy outside the bench crate and the
-    // service's connection-logging layer.
-    if ctx.crate_name != "mlcd-bench"
-        && !NONDET_EXEMPT_PREFIXES.iter().any(|p| ctx.path.starts_with(p))
-    {
+    // R2 — wall-clock / OS entropy outside the service's
+    // connection-logging layer.
+    if !NONDET_EXEMPT_PREFIXES.iter().any(|p| ctx.path.starts_with(p)) {
         for (line, col, msg) in nondet_sources(&lexed.tokens) {
             findings.push(v(line, col, Rule::NondetSource, msg));
         }

@@ -1,5 +1,5 @@
 //! Fixture: the service connection layer's wall-clock log stamp — the
-//! one legitimate nondet source outside the bench crate. Clean under
+//! one legitimate nondet source in the workspace. Clean under
 //! `crates/service/src/net/`, a violation anywhere else.
 
 use std::time::{SystemTime, UNIX_EPOCH};

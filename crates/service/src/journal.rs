@@ -13,7 +13,7 @@
 //!
 //! * **Direct** ([`SessionJournal`] without a committer): one
 //!   `write_all` + `fsync` per record on the session's own file. Simple,
-//!   and the baseline the saturation benchmark measures against.
+//!   and the path `--no-group-commit` selects; no benchmark runs it.
 //! * **Group commit** ([`GroupCommitter`]): sessions enqueue pending
 //!   appends; a single commit thread drains whatever is pending into one
 //!   `write_all` + one `fsync` of a shared `commit.log`, then

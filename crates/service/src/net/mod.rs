@@ -5,8 +5,8 @@
 //! requests). Connections are handled on detached threads; the accept
 //! loop stops when a `Shutdown` request arrives.
 //!
-//! This module is the **only** part of the workspace (outside the
-//! benchmark harness) allowed to read the wall clock: connection log
+//! This module is the **only** part of the workspace allowed to read
+//! the wall clock: connection log
 //! lines are stamped with [`std::time::SystemTime`]. mlcd-lint's
 //! nondet-source rule carves out exactly `crates/service/src/net/` —
 //! nothing here feeds a `SearchOutcome`, so determinism is untouched.
