@@ -331,14 +331,14 @@ fn search(opts: &Opts) {
 fn roundtrip(addr: &str, request: &Value) -> Result<(BufReader<TcpStream>, Value), String> {
     let stream =
         TcpStream::connect(addr).map_err(|e| format!("cannot reach mlcd-serve at {addr}: {e}"))?;
+    // One write per frame with Nagle off, the rule the server follows.
+    stream.set_nodelay(true).map_err(|e| format!("connection error: {e}"))?;
     let mut reader =
         BufReader::new(stream.try_clone().map_err(|e| format!("connection error: {e}"))?);
     let mut out = stream;
-    let line = serde_json::to_string(request).map_err(|e| format!("bad request: {e}"))?;
-    out.write_all(line.as_bytes())
-        .and_then(|()| out.write_all(b"\n"))
-        .and_then(|()| out.flush())
-        .map_err(|e| format!("send failed: {e}"))?;
+    let mut line = serde_json::to_string(request).map_err(|e| format!("bad request: {e}"))?;
+    line.push('\n');
+    out.write_all(line.as_bytes()).map_err(|e| format!("send failed: {e}"))?;
     let first = read_response(&mut reader)?;
     Ok((reader, first))
 }

@@ -1,9 +1,9 @@
 //! Newline-delimited-JSON protocol over TCP.
 //!
 //! One JSON request per line in, one JSON response per line out (plus a
-//! raw [`TraceEvent`] stream between `Watching` and `WatchEnd` for watch
-//! requests). Connections are handled on detached threads; the accept
-//! loop stops when a `Shutdown` request arrives.
+//! raw [`mlcd::search::TraceEvent`] stream between `Watching` and
+//! `WatchEnd` for watch requests). Connections are handled on detached
+//! threads; the accept loop stops when a `Shutdown` request arrives.
 //!
 //! This module is the **only** part of the workspace allowed to read
 //! the wall clock: connection log
@@ -16,8 +16,8 @@
 use crate::proto::{Request, Response};
 use crate::session::{Phase, SessionManager};
 use crate::sync::{lock_or_die, wait_timeout_or_die};
-use mlcd::search::TraceEvent;
-use std::io::{BufRead as _, BufReader, Write as _};
+use serde::Serialize;
+use std::io::{self, BufRead as _, BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -84,7 +84,7 @@ impl Server {
     ///
     /// # Errors
     /// Whatever [`TcpListener::bind`] reports.
-    pub fn bind(addr: &str, manager: Arc<SessionManager>) -> std::io::Result<Server> {
+    pub fn bind(addr: &str, manager: Arc<SessionManager>) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         Ok(Server {
             listener,
@@ -98,7 +98,7 @@ impl Server {
     ///
     /// # Errors
     /// Whatever [`TcpListener::local_addr`] reports.
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
+    pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.listener.local_addr()
     }
 
@@ -108,7 +108,7 @@ impl Server {
     ///
     /// # Errors
     /// Accept-loop I/O failure.
-    pub fn run(&self) -> std::io::Result<()> {
+    pub fn run(&self) -> io::Result<()> {
         for conn in self.listener.incoming() {
             if self.stop.load(Ordering::SeqCst) {
                 break;
@@ -153,30 +153,45 @@ impl Server {
     }
 }
 
-fn send(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
-    let mut line = serde_json::to_string(resp)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    line.push('\n');
-    stream.write_all(line.as_bytes())?;
-    stream.flush()
+/// Append each item to `buf` as one NDJSON line, then write the lot with
+/// a single `write_all`. A response and a watch batch are each one
+/// frame: with Nagle off (see [`handle_conn`]) every write leaves at
+/// once, so a batch written line by line would go out a segment per line.
+fn write_frame<T: Serialize>(
+    out: &mut TcpStream,
+    buf: &mut Vec<u8>,
+    items: &[T],
+) -> io::Result<()> {
+    buf.clear();
+    for item in items {
+        let line = serde_json::to_string(item)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        buf.extend_from_slice(line.as_bytes());
+        buf.push(b'\n');
+    }
+    out.write_all(buf)
 }
 
-fn send_event(stream: &mut TcpStream, event: &TraceEvent) -> std::io::Result<()> {
-    let mut line = serde_json::to_string(event)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    line.push('\n');
-    stream.write_all(line.as_bytes())?;
-    stream.flush()
+fn unknown(id: u64) -> Response {
+    Response::Error { message: format!("unknown session {id}") }
 }
 
+/// Serve one connection until the client closes it or asks for shutdown.
+///
+/// Nagle is off: a reply that follows another on the same connection
+/// (a `Status` + `Stats` pair, say) would otherwise wait for the client's
+/// ACK of the first, and a client with nothing more to send holds every
+/// later reply back by one request or by its delayed-ACK timer.
 fn handle_conn(
     stream: TcpStream,
     manager: &SessionManager,
     stop: &AtomicBool,
     server_addr: SocketAddr,
-) -> std::io::Result<()> {
+) -> io::Result<()> {
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut out = stream;
+    let mut buf = Vec::new();
     let mut line = String::new();
     loop {
         line.clear();
@@ -189,83 +204,59 @@ fn handle_conn(
         let request: Request = match serde_json::from_str(line.trim()) {
             Ok(r) => r,
             Err(e) => {
-                send(&mut out, &Response::Error { message: format!("bad request: {e}") })?;
+                let message = format!("bad request: {e}");
+                write_frame(&mut out, &mut buf, &[Response::Error { message }])?;
                 continue;
             }
         };
-        match request {
+        let response = match request {
             Request::Submit(spec) => match manager.submit(spec) {
-                Ok(id) => send(&mut out, &Response::Submitted { id })?,
-                Err(r) => send(
-                    &mut out,
-                    &Response::Rejected { queue_full: r.queue_full, reason: r.reason },
-                )?,
+                Ok(id) => Response::Submitted { id },
+                Err(r) => Response::Rejected { queue_full: r.queue_full, reason: r.reason },
             },
             Request::Status { id } => match manager.status(id) {
-                Some(sessions) => send(&mut out, &Response::StatusReport { sessions })?,
-                None => send(
-                    &mut out,
-                    &Response::Error { message: format!("unknown session {}", id.unwrap_or(0)) },
-                )?,
+                Some(sessions) => Response::StatusReport { sessions },
+                None => unknown(id.unwrap_or(0)),
             },
             Request::Result { id, wait } => match manager.session(id) {
-                None => {
-                    send(&mut out, &Response::Error { message: format!("unknown session {id}") })?;
-                }
+                None => unknown(id),
                 Some(session) => {
                     let phase = if wait { session.wait_terminal() } else { session.phase() };
                     match phase {
-                        Phase::Done(result) => {
-                            send(&mut out, &Response::ResultReady { id, result: *result })?;
+                        Phase::Done(result) => Response::ResultReady { id, result: *result },
+                        Phase::Failed(message) => {
+                            Response::Error { message: format!("session {id} failed: {message}") }
                         }
-                        Phase::Failed(message) => send(
-                            &mut out,
-                            &Response::Error { message: format!("session {id} failed: {message}") },
-                        )?,
-                        other => send(
-                            &mut out,
-                            &Response::NotReady { id, state: other.name().to_string() },
-                        )?,
+                        other => Response::NotReady { id, state: other.name().to_string() },
                     }
                 }
             },
             Request::Watch { id } => match manager.session(id) {
-                None => {
-                    send(&mut out, &Response::Error { message: format!("unknown session {id}") })?;
-                }
+                None => unknown(id),
                 Some(session) => {
-                    send(&mut out, &Response::Watching { id })?;
+                    write_frame(&mut out, &mut buf, &[Response::Watching { id }])?;
                     let mut pos = 0usize;
                     loop {
                         let (events, terminal) = session.next_events(pos);
                         pos += events.len();
-                        for event in &events {
-                            send_event(&mut out, event)?;
-                        }
+                        write_frame(&mut out, &mut buf, &events)?;
                         if let Some(state) = terminal {
-                            send(&mut out, &Response::WatchEnd { id, state })?;
-                            break;
+                            break Response::WatchEnd { id, state };
                         }
                     }
                 }
             },
-            Request::Cancel { id } => {
-                if manager.cancel(id) {
-                    send(&mut out, &Response::Cancelling { id })?;
-                } else {
-                    send(&mut out, &Response::Error { message: format!("unknown session {id}") })?;
-                }
-            }
-            Request::Stats => {
-                send(&mut out, &Response::Stats { stats: manager.stats() })?;
-            }
+            Request::Cancel { id } if manager.cancel(id) => Response::Cancelling { id },
+            Request::Cancel { id } => unknown(id),
+            Request::Stats => Response::Stats { stats: manager.stats() },
             Request::Shutdown => {
-                send(&mut out, &Response::ShuttingDown)?;
+                write_frame(&mut out, &mut buf, &[Response::ShuttingDown])?;
                 stop.store(true, Ordering::SeqCst);
                 // Unblock the accept loop so `run` can drain and return.
                 let _ = TcpStream::connect(server_addr);
                 return Ok(());
             }
-        }
+        };
+        write_frame(&mut out, &mut buf, &[response])?;
     }
 }

@@ -7,6 +7,8 @@
 //! different presets, so no cache key collides and the cache cannot
 //! (and must not) change either outcome.
 
+use mlcd::experiment::ExperimentRunner;
+use mlcd::search::{searcher_by_name, SearchTrace};
 use mlcd_service::{Phase, Request, Response, ServiceConfig, SessionManager, SubmitSpec};
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::net::TcpStream;
@@ -105,6 +107,21 @@ fn sequential_digests(cache: bool) -> [String; 2] {
     })
 }
 
+/// The trace events of an in-process `search_traced` run of `spec`, one
+/// JSON line each, rendered as the server streams them to a watcher.
+fn in_process_event_lines(spec: &SubmitSpec) -> Vec<String> {
+    let job = spec.training_job().expect("job");
+    let searcher = searcher_by_name(&spec.searcher, spec.seed).expect("searcher");
+    let mut runner = ExperimentRunner::new(spec.seed).with_max_nodes(spec.max_nodes);
+    if let Some(types) = spec.instance_types().expect("types") {
+        runner = runner.with_types(types);
+    }
+    let mut trace = SearchTrace::default();
+    let scenario = spec.scenario().expect("scenario");
+    searcher.search_traced(&mut runner.profiler_for(&job), &scenario, &mut trace);
+    trace.events.iter().map(|e| serde_json::to_string(e).expect("encode event")).collect()
+}
+
 /// Submit both jobs to the server back-to-back (they run concurrently
 /// on its two workers), collect both digests, then exercise status /
 /// watch / shutdown on the way out.
@@ -123,7 +140,9 @@ fn concurrent_digests(tag: &str, cache: bool) -> [String; 2] {
     let da = result_digest(&addr, ida);
     let db = result_digest(&addr, idb);
 
-    // Watch on a finished session: full event replay, then WatchEnd.
+    // Watch on a finished session: full event replay, then WatchEnd. The
+    // replayed events are the search's own, in order: batching them into
+    // one write per poll must not change content or order.
     {
         let mut stream = TcpStream::connect(&addr).expect("connect");
         let line = serde_json::to_string(&Request::Watch { id: ida }).unwrap();
@@ -155,6 +174,7 @@ fn concurrent_digests(tag: &str, cache: bool) -> [String; 2] {
             }
             other => panic!("watch tail: {other:?}"),
         }
+        assert_eq!(lines[1..lines.len() - 1], in_process_event_lines(&a)[..]);
     }
 
     assert!(matches!(roundtrip(&addr, &Request::Shutdown), Response::ShuttingDown));
