@@ -244,4 +244,12 @@ mod tests {
         }
         assert_eq!(t.incumbent_utilities(), vec![1.0, 2.0]);
     }
+
+    #[test]
+    fn trace_event_stays_small() {
+        // A planning service retains finished sessions' traces inline,
+        // so every retained event costs exactly this many bytes; a fat
+        // new variant would inflate every retained session.
+        assert!(std::mem::size_of::<TraceEvent>() <= 56, "{}", std::mem::size_of::<TraceEvent>());
+    }
 }

@@ -67,9 +67,12 @@
 //!   past [`ServiceConfig::retain_terminal`], oldest-completed first;
 //!   the journal stays the durable record, and `Status`/`Result`/
 //!   `Watch` for an evicted id are answered by reading it back
-//!   ([`SessionManager::session`] falls back to the journal). Without a
-//!   journal an evicted result is gone — the cap trades that for a
-//!   bounded footprint.
+//!   ([`SessionManager::session`] falls back to the journal), though a
+//!   reloaded trace holds only the journaled spine (`InitProbe`/`Probe`/
+//!   `IncumbentChanged`/`Stopped`), not the `CandidateScored`/
+//!   `CandidatePruned` lines a retained session replays. Without a
+//!   journal an evicted result is gone. The cap bounds sessions, not
+//!   bytes: a retained trace is held inline and trimmed when it ends.
 
 use crate::cache::{CachedEnv, GridCache, GridKey, ProbeCache, ProvenanceLog};
 use crate::journal::{
@@ -208,12 +211,11 @@ impl Phase {
 
 struct SessionState {
     phase: Phase,
-    /// `Arc` per event so watchers can snapshot a batch under the lock
-    /// with refcount bumps only and materialise the clones outside it.
-    events: Vec<Arc<TraceEvent>>,
+    /// Inline, trimmed to its length when the session ends.
+    events: Vec<TraceEvent>,
 }
 
-/// Upper bound on events returned per [`Session::next_events`] poll, so
+/// Upper bound on events cloned per [`Session::next_events`] poll, so
 /// a watcher far behind on a long search never holds the state mutex
 /// for a tail-sized copy (the worker's `push_event` would stall).
 const WATCH_BATCH: usize = 256;
@@ -301,43 +303,38 @@ impl Session {
     /// Blocking event tail for watchers: up to `WATCH_BATCH` events
     /// past `from`, or — once all events are delivered and the session
     /// has ended (or was detached at shutdown) — the terminal/current
-    /// state name. Only `Arc` refcounts are bumped under the state
-    /// mutex; the event payloads are cloned after it is released.
+    /// state name.
     pub fn next_events(&self, from: usize) -> (Vec<TraceEvent>, Option<String>) {
-        let (batch, terminal): (Vec<Arc<TraceEvent>>, Option<String>) = {
-            let mut st = lock_or_die(&self.state, "session state");
-            loop {
-                if st.events.len() > from {
-                    let end = st.events.len().min(from + WATCH_BATCH);
-                    break (st.events[from..end].to_vec(), None);
-                }
-                if st.phase.is_terminal() || self.detached.load(Ordering::SeqCst) {
-                    break (Vec::new(), Some(st.phase.name().to_string()));
-                }
-                st = wait_or_die(&self.state_cv, st, "session state");
+        let mut st = lock_or_die(&self.state, "session state");
+        loop {
+            if st.events.len() > from {
+                let end = st.events.len().min(from + WATCH_BATCH);
+                return (st.events[from..end].to_vec(), None);
             }
-        };
-        (batch.iter().map(|e| (**e).clone()).collect(), terminal)
+            if st.phase.is_terminal() || self.detached.load(Ordering::SeqCst) {
+                return (Vec::new(), Some(st.phase.name().to_string()));
+            }
+            st = wait_or_die(&self.state_cv, st, "session state");
+        }
     }
 
     fn push_event(&self, event: TraceEvent) {
-        let event = Arc::new(event);
-        let mut st = lock_or_die(&self.state, "session state");
-        st.events.push(event);
-        drop(st);
+        lock_or_die(&self.state, "session state").events.push(event);
         self.state_cv.notify_all();
     }
 
     fn set_phase(&self, phase: Phase) {
         let mut st = lock_or_die(&self.state, "session state");
+        if phase.is_terminal() {
+            st.events.shrink_to_fit(); // no event can follow
+        }
         st.phase = phase;
         drop(st);
         self.state_cv.notify_all();
     }
 
     fn seed_events(&self, events: Vec<TraceEvent>) {
-        lock_or_die(&self.state, "session state").events =
-            events.into_iter().map(Arc::new).collect();
+        lock_or_die(&self.state, "session state").events = events;
     }
 }
 
@@ -1851,6 +1848,41 @@ mod tests {
             }
         }
         assert!(total > 0, "the full backlog still streams, batch by batch");
+    }
+
+    #[test]
+    fn retained_trace_is_trimmed_and_replays_the_search() {
+        let m = manager(ServiceConfig { workers: 1, ..Default::default() });
+        let mut spec = tiny_spec("resnet-cifar10", 7);
+        spec.searcher = "heterbo".into();
+        spec.types = Some(vec!["c5.xlarge".into(), "c5.4xlarge".into(), "p2.xlarge".into()]);
+        spec.max_nodes = 32;
+        let id = m.submit(spec.clone()).unwrap();
+        let session = m.session(id).unwrap();
+        assert!(matches!(session.wait_terminal(), Phase::Done(_)));
+        {
+            let st = lock_or_die(&session.state, "session state");
+            assert_eq!(st.events.capacity(), st.events.len(), "a retained trace is trimmed");
+        }
+
+        let mut replayed = Vec::new();
+        loop {
+            let (events, terminal) = session.next_events(replayed.len());
+            replayed.extend(events);
+            if terminal.is_some() {
+                break;
+            }
+        }
+
+        let job = spec.training_job().unwrap();
+        let searcher = searcher_by_name(&spec.searcher, spec.seed).unwrap();
+        let runner = ExperimentRunner::new(spec.seed)
+            .with_max_nodes(spec.max_nodes)
+            .with_types(spec.instance_types().unwrap().unwrap());
+        let mut trace = mlcd::prelude::SearchTrace::default();
+        searcher.search_traced(&mut runner.profiler_for(&job), &session.scenario, &mut trace);
+        assert!(replayed.len() > WATCH_BATCH, "the replay must span several batches");
+        assert_eq!(replayed, trace.events, "replay from 0 is the in-process trace, in order");
     }
 
     #[test]
