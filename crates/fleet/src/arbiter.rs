@@ -1,9 +1,10 @@
 //! The admission arbiter: the one place launch requests on a shared pool
 //! are settled.
 //!
-//! Both callers — the strict-handoff [`FleetSim`](crate::FleetSim) driver
-//! and `mlcd-serve --fleet`'s worker gate — only move requests in and
-//! verdicts out; every admission rule lives here:
+//! Its one caller, the strict-handoff driver (behind both
+//! [`FleetSim`](crate::FleetSim) and `mlcd-serve --fleet`'s
+//! [`OpenFleet`](crate::OpenFleet)), only moves requests in and verdicts
+//! out; every admission rule lives here:
 //!
 //! * request construction, including the quoted cost the cost-cooled
 //!   policy throttles on;
@@ -201,9 +202,8 @@ impl Arbiter {
     /// success, `None` when the provider refused it. Returns the fleet
     /// event settling the grant — `ProbeGranted` with its queue wait, or
     /// `ProbeDenied` for a failed launch, which is re-booked as a
-    /// denial. Later launches by the same job before its next grant
-    /// (a retry inside one service turn) only record cluster ownership
-    /// and return `None`.
+    /// denial. A second report for the same grant only records cluster
+    /// ownership and returns `None`.
     pub fn on_launch(
         &mut self,
         job: JobId,
@@ -223,11 +223,6 @@ impl Arbiter {
             self.deny(job);
             Some(SimEvent::ProbeDenied { job })
         }
-    }
-
-    /// What `job` has spent on the shared ledger so far.
-    pub fn spent(&self, job: JobId, pool: &SimCloud) -> Money {
-        self.jobs.get(&job).map_or(Money::ZERO, |a| a.spent_on(pool.billing()))
     }
 
     /// The oldest pending request satisfying `pred(req, cap)`, by
@@ -361,8 +356,7 @@ mod tests {
         cloud.run_until(cloud.now() + SimDuration::from_hours(1.0));
         cloud.terminate(&first);
         cloud.terminate(&retry);
-        assert!(a.spent(1, &cloud).dollars() > 0.0);
-        assert_eq!(a.spent(2, &cloud), Money::ZERO);
+        assert!(a.jobs[&1].spent_on(cloud.billing()).dollars() > 0.0);
         assert_eq!(a.granted(), 1);
     }
 }

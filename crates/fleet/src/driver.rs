@@ -1,13 +1,20 @@
 //! The fleet driver: one thread per tenant, one runnable at a time.
 //!
-//! [`FleetSim::run`] expands the scenario, boots the shared
-//! [`SimCloud`], and moves tenant messages and clock time around the
-//! pool's [`Arbiter`], which owns every admission rule. The driver only
-//! hands off and advances the clock, in a strict loop:
+//! One driver loop serves both runtimes. [`FleetSim::run`] expands a
+//! scenario and queues every job at its arrival instant before the loop
+//! starts; [`OpenFleet`] runs the loop on its own thread for
+//! `mlcd-serve --fleet`, whose sessions arrive while it runs. Either way
+//! the driver moves tenant messages and clock time around the pool's
+//! [`Arbiter`], which owns every admission rule. The driver only hands
+//! off and advances the clock, in a strict loop:
 //!
-//! 1. **Arrivals** due at the current instant join the arbiter, spawn
-//!    their tenant thread and run it until it blocks (on a launch request
-//!    or a time wait).
+//! 1. **Arrivals** reach the driver as messages carrying their instant
+//!    (a fixed [`SimTime`] for scenario jobs, "now" for service
+//!    sessions, stamped with the clock when the driver takes them in)
+//!    and the driver's end of the tenant's reply channel. Each arrival
+//!    due at the current instant joins the arbiter and is admitted with
+//!    a `Woken` reply; its tenant then runs until it blocks (on a launch
+//!    request or a time wait).
 //! 2. **Wakes**: every tenant whose wake-up instant has been reached is
 //!    resumed — exhaustively, one at a time — before any settlement
 //!    happens, so the pending-request set at decision time does not
@@ -23,7 +30,9 @@
 //!    arrival or wake-up, dispatching every sim event in between. If the
 //!    pool is wedged (requests pending, nothing to advance to), the
 //!    arbiter force-grants the oldest request, whose launch surfaces the
-//!    provider's real answer to its tenant.
+//!    provider's real answer to its tenant. With no tenant and nothing
+//!    queued, the driver blocks on its arrival channel, and exits once
+//!    every sender is gone.
 //!
 //! Tenants never touch the engine directly while time moves; the only
 //! shared-state calls they make with the clock frozen are terminations,
@@ -31,21 +40,19 @@
 //! covers billing sums and per-job outcomes, not event sequence
 //! numbers).
 
-use mlcd::prelude::{
-    Deployment, ExperimentOutcome, ExperimentRunner, Money, Observation, ProfileError,
-    ProfilingEnv, Scenario, SearchSpace, SimDuration, SimTime,
-};
+use mlcd::prelude::{ExperimentOutcome, ExperimentRunner, InstanceType, SimDuration, SimTime};
 use mlcd::search::searcher_by_name;
-use mlcd_cloudsim::{SimCloud, SimEvent, SpotMarket};
+use mlcd_cloudsim::{EventKind, MarketMode, SimCloud, SimEvent, SpotMarket};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use crate::arbiter::{Arbiter, Verdict};
 use crate::outcome::{aggregate, FleetJobOutcome, FleetOutcome};
 use crate::policy::{FleetEventFold, FleetScheduler, JobId, Purpose};
 use crate::scenario::{FleetJob, FleetScenario};
-use crate::tenant::{DriverReply, TenantCloud, TenantLink, TenantMsg};
+use crate::tenant::{DriverReply, SerialEnv, TenantCloud, TenantLink, TenantMsg};
 
 /// Tie-break order when several tenants are due to wake at the same
 /// instant. The fleet outcome is invariant under this choice (that is a
@@ -80,45 +87,90 @@ impl DrainOrder {
     }
 }
 
-/// Serializing wrapper: forces `profile_batch` onto the default
-/// sequential path. The profiler's concurrent batch wave computes every
-/// member's settlement from one pre-launch timestamp, which is unsound
-/// when a mid-batch launch can block on admission for hours — under a
-/// fleet, batch members are probed one by one and each one queues at the
-/// scheduler individually.
-struct SerialEnv<'a, E>(&'a mut E);
+/// Boot a shared pool: a provider seeded with `seed`, its spot market
+/// seeded the same way and priced by `market`, and each `(type, cap)`
+/// applied in order. Returns the provider and the caps for the
+/// [`Arbiter`].
+pub fn boot_pool(
+    seed: u64,
+    market: MarketMode,
+    caps: impl IntoIterator<Item = (InstanceType, u32)>,
+) -> (SimCloud, BTreeMap<InstanceType, u32>) {
+    let mut shared = SimCloud::new(seed);
+    shared.set_market(SpotMarket { seed, mode: market, ..SpotMarket::default() });
+    let mut capped = BTreeMap::new();
+    for (itype, cap) in caps {
+        shared.set_capacity(itype, cap);
+        capped.insert(itype, cap);
+    }
+    (shared, capped)
+}
 
-impl<E: ProfilingEnv> ProfilingEnv for SerialEnv<'_, E> {
-    fn space(&self) -> &SearchSpace {
-        self.0.space()
-    }
-    fn total_samples(&self) -> f64 {
-        self.0.total_samples()
-    }
-    fn quote(&self, d: &Deployment) -> (SimDuration, Money) {
-        self.0.quote(d)
-    }
-    fn profile(&mut self, d: &Deployment) -> Result<Observation, ProfileError> {
-        self.0.profile(d)
-    }
-    fn elapsed(&self) -> SimDuration {
-        self.0.elapsed()
-    }
-    fn spent(&self) -> Money {
-        self.0.spent()
+/// Admission counters of a running pool, as its driver last published
+/// them (after every settlement round and every finished tenant).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FleetCounters {
+    /// Launches granted (probes + training runs), minus grants whose
+    /// launch failed at the provider.
+    pub admitted: u64,
+    /// Granted requests that waited simulated time for admission.
+    pub deferred: u64,
+    /// Requests refused: policy denials, and granted launches the
+    /// provider failed.
+    pub denied: u64,
+    /// Spot revocations dispatched on the shared pool.
+    pub preempted: u64,
+    /// Requests currently waiting at the arbiter.
+    pub queue_depth: u64,
+}
+
+/// One tenant's arrival message.
+struct Arrival {
+    job: JobId,
+    /// `Some(t)`: a scenario job due at `t`. `None`: arrives at the
+    /// driver's clock when the driver takes the message in.
+    at: Option<SimTime>,
+    priority: u8,
+    deadline: Option<SimDuration>,
+    /// The driver's end of the tenant's reply channel.
+    reply: Sender<DriverReply>,
+}
+
+/// The tenants' way into a driver: its arrival channel, its message
+/// channel and the shared pool.
+struct Inbox {
+    arrivals: Sender<Arrival>,
+    msgs: Sender<TenantMsg>,
+    shared: SimCloud,
+}
+
+impl Inbox {
+    /// Queue `job`'s arrival. The tenant starts once
+    /// [`TenantCloud::admit`] sees the driver's admission.
+    fn queue(
+        &self,
+        job: JobId,
+        at: Option<SimTime>,
+        priority: u8,
+        deadline: Option<SimDuration>,
+    ) -> TenantLink {
+        let (reply, rx) = channel();
+        self.arrivals
+            .send(Arrival { job, at, priority, deadline, reply })
+            .expect("fleet driver hung up");
+        TenantLink { job, tx: self.msgs.clone(), rx }
     }
 }
 
 struct Slot {
     reply: Sender<DriverReply>,
     /// `Some(t)`: sleeping until the clock reaches `t`. `None`: parked
-    /// on a launch request at the arbiter, or finished.
+    /// on a launch request at the arbiter.
     wake_at: Option<SimTime>,
     phase: Purpose,
-    /// Written when the tenant finishes; the search outcome joins it at
-    /// the end of the run.
-    record: Option<FleetJobOutcome>,
-    handle: JoinHandle<Option<ExperimentOutcome>>,
+    priority: u8,
+    arrived_at: SimTime,
+    deadline: Option<SimDuration>,
 }
 
 /// A configured fleet simulation, ready to [`run`](FleetSim::run).
@@ -145,60 +197,141 @@ impl FleetSim {
     pub fn run(self) -> FleetOutcome {
         let FleetSim { scenario, policy, drain } = self;
         let policy_name = policy.name();
-        let fleet_jobs = scenario.jobs();
-        let mut shared = SimCloud::new(scenario.seed);
-        shared.set_market(SpotMarket {
-            seed: scenario.seed,
-            mode: scenario.market,
-            ..SpotMarket::default()
-        });
-        let mut caps: BTreeMap<_, u32> = BTreeMap::new();
-        for &itype in &scenario.types {
-            let cap = scenario.cap_for(itype);
-            shared.set_capacity(itype, cap);
-            caps.insert(itype, cap);
-        }
+        let (shared, caps) = boot_pool(
+            scenario.seed,
+            scenario.market,
+            scenario.types.iter().map(|&t| (t, scenario.cap_for(t))),
+        );
+        let (inbox, mut d) = Driver::new(shared, Arbiter::new(policy, caps), drain, None);
+        d.finished = Some(Vec::new());
 
-        let (msg_tx, msg_rx) = channel::<TenantMsg>();
-        let mut queue: VecDeque<FleetJob> = fleet_jobs.iter().cloned().collect();
-        let mut d = Driver {
+        // Every job is queued before the loop starts, so the driver sees
+        // the whole arrival list from its first step.
+        let mut tenants = BTreeMap::new();
+        for job in scenario.jobs() {
+            let deadline = job.scenario.deadline();
+            let link = inbox.queue(job.id, Some(job.arrival), job.priority, deadline);
+            let (id, shared) = (job.id, inbox.shared.clone());
+            let handle =
+                spawn_tenant(job, link, shared, scenario.types.clone(), scenario.max_nodes);
+            tenants.insert(id, handle);
+        }
+        drop(inbox);
+        d.run();
+
+        // Every tenant has finished, so the joins are instant.
+        let mut job_outcomes = d.finished.take().unwrap_or_default();
+        for record in &mut job_outcomes {
+            record.outcome = tenants.remove(&record.id).and_then(|h| h.join().ok());
+        }
+        aggregate(policy_name, &scenario, job_outcomes, &d.fold, &d.shared)
+    }
+}
+
+/// A fleet driver on its own thread, open to tenants that arrive while
+/// it runs: `mlcd-serve --fleet`'s runtime. Each arrival is stamped with
+/// the driver's clock when the driver takes it in. The driver exits once
+/// this handle is dropped and its last tenant has finished.
+pub struct OpenFleet {
+    inbox: Inbox,
+    policy: &'static str,
+    counters: Arc<Mutex<FleetCounters>>,
+}
+
+impl OpenFleet {
+    /// Start a driver over `shared`, arbitrated by `arbiter`.
+    pub fn start(shared: SimCloud, arbiter: Arbiter) -> OpenFleet {
+        let counters = Arc::new(Mutex::new(FleetCounters::default()));
+        let policy = arbiter.policy_name();
+        let (inbox, mut d) =
+            Driver::new(shared, arbiter, DrainOrder::Ascending, Some(Arc::clone(&counters)));
+        std::thread::spawn(move || d.run());
+        OpenFleet { inbox, policy, counters }
+    }
+
+    /// Arrive now as tenant `job`, with an optional deadline measured
+    /// from arrival. Blocks until the driver admits the tenant; the
+    /// returned cloud is its way to the pool, and dropping it leaves.
+    pub fn arrive(&self, job: JobId, priority: u8, deadline: Option<SimDuration>) -> TenantCloud {
+        let link = self.inbox.queue(job, None, priority, deadline);
+        TenantCloud::admit(link, self.inbox.shared.clone())
+    }
+
+    /// The arbitrating policy's name.
+    pub fn policy_name(&self) -> &'static str {
+        self.policy
+    }
+
+    /// The counters the driver last published.
+    pub fn counters(&self) -> FleetCounters {
+        *self.counters.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The driver's state for one run.
+struct Driver {
+    shared: SimCloud,
+    arbiter: Arbiter,
+    drain: DrainOrder,
+    slots: BTreeMap<JobId, Slot>,
+    fold: FleetEventFold,
+    msg_rx: Receiver<TenantMsg>,
+    arrivals: Receiver<Arrival>,
+    /// Arrivals taken in but not yet due, with their instants, in the
+    /// order received.
+    queued: VecDeque<(SimTime, Arrival)>,
+    /// Finished tenants' records, when the caller keeps them.
+    finished: Option<Vec<FleetJobOutcome>>,
+    /// Where counters are published, when someone reads them live.
+    published: Option<Arc<Mutex<FleetCounters>>>,
+}
+
+impl Driver {
+    fn new(
+        shared: SimCloud,
+        arbiter: Arbiter,
+        drain: DrainOrder,
+        published: Option<Arc<Mutex<FleetCounters>>>,
+    ) -> (Inbox, Driver) {
+        let (arrivals, arrival_rx) = channel();
+        let (msgs, msg_rx) = channel();
+        let inbox = Inbox { arrivals, msgs, shared: shared.clone() };
+        let d = Driver {
             shared,
-            arbiter: Arbiter::new(policy, caps),
+            arbiter,
+            drain,
             slots: BTreeMap::new(),
             fold: FleetEventFold::default(),
             msg_rx,
-            jobs_by_id: fleet_jobs.into_iter().map(|j| (j.id, j)).collect(),
+            arrivals: arrival_rx,
+            queued: VecDeque::new(),
+            finished: None,
+            published,
         };
+        (inbox, d)
+    }
 
+    /// The strict loop (module docs), until every arrival sender is gone
+    /// and every tenant has finished.
+    fn run(&mut self) {
         loop {
-            let now = d.shared.now();
+            let now = self.shared.now();
 
             // 1. Arrivals due at this instant.
+            while let Ok(arrival) = self.arrivals.try_recv() {
+                self.take_in(arrival, now);
+            }
             let mut progressed = false;
-            while queue.front().is_some_and(|j| j.arrival.as_secs() <= now.as_secs()) {
-                let job = queue.pop_front().expect("front checked");
-                let id = job.id;
-                let deadline_at = match job.scenario {
-                    Scenario::CheapestWithDeadline(dl) => Some(job.arrival + dl),
-                    _ => None,
-                };
-                d.arbiter.join(id, job.priority, now, deadline_at);
-                let slot = spawn_tenant(
-                    job,
-                    msg_tx.clone(),
-                    d.shared.clone(),
-                    scenario.types.clone(),
-                    scenario.max_nodes,
-                );
-                d.slots.insert(id, slot);
-                d.emit(SimEvent::JobArrived { job: id });
-                d.pump(id);
+            while let Some(i) = self.queued.iter().position(|(at, _)| at.as_secs() <= now.as_secs())
+            {
+                let (at, arrival) = self.queued.remove(i).expect("position is in range");
+                self.admit(at, arrival, now);
                 progressed = true;
             }
 
             // 2. Wake every tenant whose instant has come, exhaustively.
             loop {
-                let due: Vec<JobId> = d
+                let due: Vec<JobId> = self
                     .slots
                     .iter()
                     .filter(|(_, s)| s.wake_at.is_some_and(|t| t.as_secs() <= now.as_secs()))
@@ -207,17 +340,17 @@ impl FleetSim {
                 if due.is_empty() {
                     break;
                 }
-                let id = drain.pick(&due);
-                let slot = d.slots.get_mut(&id).expect("due slot");
+                let id = self.drain.pick(&due);
+                let slot = self.slots.get_mut(&id).expect("due slot");
                 slot.wake_at = None;
                 slot.reply.send(DriverReply::Woken).expect("tenant alive");
-                d.pump(id);
+                self.pump(id);
                 progressed = true;
             }
 
             // 3. Admission decisions at this instant.
-            while let Some((id, verdict)) = d.arbiter.settle(&d.shared) {
-                d.deliver(id, verdict);
+            while let Some((id, verdict)) = self.arbiter.settle(&self.shared) {
+                self.deliver(id, verdict);
                 progressed = true;
             }
 
@@ -227,54 +360,77 @@ impl FleetSim {
                 continue;
             }
 
-            // 4. Advance the clock (or break the stall, or finish).
-            let next_arrival = queue.front().map(|j| j.arrival);
-            let target = d
+            // 4. Advance the clock (or break the stall, or wait for an
+            // arrival, or finish).
+            self.publish();
+            let target = self
                 .slots
                 .values()
                 .filter_map(|s| s.wake_at)
-                .chain(next_arrival)
+                .chain(self.queued.iter().map(|(at, _)| *at))
                 .min_by(|a, b| a.as_secs().total_cmp(&b.as_secs()));
             match target {
                 Some(t) => {
-                    d.shared.run_until(t);
+                    self.shared.run_until(t);
                 }
                 // Nothing to advance to. If requests are pending the
                 // policy has wedged the pool: force the oldest through
                 // so the provider's answer unwedges its tenant.
-                None => match d.arbiter.force_oldest() {
-                    Some((id, verdict)) => d.deliver(id, verdict),
-                    None => break, // every tenant done, no arrivals left
+                None => match self.arbiter.force_oldest() {
+                    Some((id, verdict)) => self.deliver(id, verdict),
+                    // Every tenant is done: wait for the next arrival.
+                    None => match self.arrivals.recv() {
+                        Ok(arrival) => self.take_in(arrival, now),
+                        Err(_) => break,
+                    },
                 },
             }
         }
-
-        // Collect tenants (all have sent Finished, so joins are instant).
-        let mut job_outcomes = Vec::new();
-        for (_, slot) in d.slots {
-            let mut record = slot.record.expect("every tenant finished");
-            record.outcome = slot.handle.join().expect("tenant thread joined");
-            job_outcomes.push(record);
-        }
-        aggregate(policy_name, &scenario, job_outcomes, &d.fold, &d.shared)
     }
-}
 
-/// The driver's state for one run.
-struct Driver {
-    shared: SimCloud,
-    arbiter: Arbiter,
-    slots: BTreeMap<JobId, Slot>,
-    fold: FleetEventFold,
-    msg_rx: Receiver<TenantMsg>,
-    jobs_by_id: BTreeMap<JobId, FleetJob>,
-}
+    /// Queue an arrival at its instant; "now" arrivals are stamped with
+    /// the current clock.
+    fn take_in(&mut self, arrival: Arrival, now: SimTime) {
+        self.queued.push_back((arrival.at.unwrap_or(now), arrival));
+    }
 
-impl Driver {
+    /// Admit a due arrival: it joins the arbiter, and its tenant runs
+    /// until it parks.
+    fn admit(&mut self, at: SimTime, arrival: Arrival, now: SimTime) {
+        let Arrival { job, priority, deadline, reply, .. } = arrival;
+        self.arbiter.join(job, priority, now, deadline.map(|dl| at + dl));
+        self.emit(SimEvent::JobArrived { job });
+        reply.send(DriverReply::Woken).expect("tenant alive");
+        let slot = Slot {
+            reply,
+            wake_at: None,
+            phase: Purpose::Probe,
+            priority,
+            arrived_at: at,
+            deadline,
+        };
+        self.slots.insert(job, slot);
+        self.pump(job);
+    }
+
     /// Record a fleet event and dispatch it through the shared provider.
     fn emit(&mut self, ev: SimEvent) {
         self.fold.on_event(&ev);
         self.shared.emit_now(ev);
+    }
+
+    /// Publish the counters, when someone reads them live.
+    fn publish(&self) {
+        if let Some(out) = &self.published {
+            let counters = FleetCounters {
+                admitted: self.arbiter.granted(),
+                deferred: self.fold.deferred,
+                denied: self.arbiter.denied(),
+                preempted: self.shared.event_counters().dispatched(EventKind::SpotRevoked),
+                queue_depth: self.arbiter.pending_len() as u64,
+            };
+            *out.lock().unwrap_or_else(PoisonError::into_inner) = counters;
+        }
     }
 
     /// Hand a verdict to its tenant. A grant is launched here, by the
@@ -329,26 +485,27 @@ impl Driver {
                 }
                 TenantMsg::Finished { job } => {
                     debug_assert_eq!(job, expected, "handoff violated");
-                    let spec = self.jobs_by_id.get(&job).expect("known job");
-                    let missed = match spec.scenario {
-                        Scenario::CheapestWithDeadline(d) => {
-                            now.since(spec.arrival).as_secs() > d.as_secs()
-                        }
-                        _ => false,
-                    };
+                    let slot = self.slots.remove(&job).expect("known job");
+                    let missed = slot
+                        .deadline
+                        .is_some_and(|dl| now.since(slot.arrived_at).as_secs() > dl.as_secs());
                     let account = self.arbiter.leave(job).expect("arrived job");
-                    self.slots.get_mut(&job).expect("known job").record = Some(FleetJobOutcome {
-                        id: job,
-                        priority: spec.priority,
-                        arrived_at: spec.arrival,
-                        completed_at: now,
-                        queue_wait: account.queue_wait,
-                        granted: account.ctx.granted,
-                        denied: account.ctx.denied,
-                        missed,
-                        outcome: None,
-                    });
+                    if let Some(finished) = &mut self.finished {
+                        finished.push(FleetJobOutcome {
+                            id: job,
+                            priority: slot.priority,
+                            arrived_at: slot.arrived_at,
+                            completed_at: now,
+                            queue_wait: account.queue_wait,
+                            granted: account.ctx.granted,
+                            denied: account.ctx.denied,
+                            missed,
+                            outcome: None,
+                        });
+                    }
                     self.emit(SimEvent::JobCompleted { job, missed });
+                    self.publish();
+                    let _ = slot.reply.send(DriverReply::Woken);
                     return;
                 }
             }
@@ -356,43 +513,24 @@ impl Driver {
     }
 }
 
-/// Boot one tenant thread running the unmodified single-job pipeline
-/// over a [`TenantCloud`].
+/// Boot one scenario tenant thread: once admitted, it runs the
+/// unmodified single-job pipeline over its [`TenantCloud`].
 fn spawn_tenant(
     job: FleetJob,
-    msg_tx: Sender<TenantMsg>,
+    link: TenantLink,
     shared: SimCloud,
-    types: Vec<mlcd::prelude::InstanceType>,
+    types: Vec<InstanceType>,
     max_nodes: u32,
-) -> Slot {
-    let (reply_tx, reply_rx) = channel::<DriverReply>();
-    let id = job.id;
-    let finish_tx = msg_tx.clone();
-    let handle = std::thread::spawn(move || {
-        let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let link = TenantLink { job: job.id, tx: msg_tx, rx: reply_rx };
-            let cloud = TenantCloud::new(link, shared);
-            let runner =
-                ExperimentRunner::new(job.seed).with_types(types).with_max_nodes(max_nodes);
-            let space = runner.space(&job.job);
-            let mut profiler = runner.profiler_on_cloud(&job.job, space, cloud);
-            let searcher =
-                searcher_by_name(job.searcher, job.seed).expect("scenario names a known searcher");
-            let outcome = {
-                let mut env = SerialEnv(&mut profiler);
-                searcher.search(&mut env, &job.scenario)
-            };
-            profiler.cloud().mark_search_done();
-            runner.complete(profiler, outcome, searcher.name(), &job.scenario)
-        }));
-        let _ = finish_tx.send(TenantMsg::Finished { job: id });
-        body.ok()
-    });
-    Slot {
-        reply: reply_tx,
-        wake_at: None, // the arrival step pumps its first message directly
-        phase: Purpose::Probe,
-        record: None,
-        handle,
-    }
+) -> JoinHandle<ExperimentOutcome> {
+    std::thread::spawn(move || {
+        let cloud = TenantCloud::admit(link, shared);
+        let runner = ExperimentRunner::new(job.seed).with_types(types).with_max_nodes(max_nodes);
+        let space = runner.space(&job.job);
+        let mut profiler = runner.profiler_on_cloud(&job.job, space, cloud);
+        let searcher =
+            searcher_by_name(job.searcher, job.seed).expect("scenario names a known searcher");
+        let outcome = searcher.search(&mut SerialEnv(&mut profiler), &job.scenario);
+        profiler.cloud().mark_search_done();
+        runner.complete(profiler, outcome, searcher.name(), &job.scenario)
+    })
 }

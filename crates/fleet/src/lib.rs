@@ -11,10 +11,15 @@
 //! requests, applies the rules no policy needs to repeat (impossible
 //! requests, the stall-breaker), asks a [`policy::FleetScheduler`] which
 //! tenant's launch is admitted against the shared capacity ledger, and
-//! keeps the grant/denial books. `mlcd-serve --fleet` settles its
-//! sessions' launches through the same arbiter.
+//! keeps the grant/denial books.
 //!
-//! The whole simulation is deterministic: tenants run on real threads,
+//! The driver takes its tenants as arrival messages. [`FleetSim`] queues
+//! a whole [`FleetScenario`] before the loop starts; [`OpenFleet`] runs
+//! the same loop on its own thread for `mlcd-serve --fleet`, whose
+//! worker threads arrive as tenants while it runs — one runtime and one
+//! cloud shim for both.
+//!
+//! A fleet simulation is deterministic: tenants run on real threads,
 //! but a strict handoff protocol keeps exactly one runnable at a time,
 //! all shared-state mutations happen in driver-chosen order, and the
 //! fleet digest is invariant under the wake order of equally-due tenants
@@ -36,10 +41,11 @@ pub mod tenant;
 
 pub use arbiter::{Arbiter, JobAccount, Verdict};
 pub use baseline::per_job_greedy_cost;
-pub use driver::{DrainOrder, FleetSim};
+pub use driver::{boot_pool, DrainOrder, FleetCounters, FleetSim, OpenFleet};
 pub use outcome::{FleetAggregate, FleetJobOutcome, FleetOutcome};
 pub use policy::{
     policy_by_name, CostCooledFairShare, DeadlineAware, Decision, FifoGreedy, FleetEventFold,
     FleetScheduler, FleetView, JobCtx, PendingReq, Purpose, POLICY_NAMES,
 };
 pub use scenario::{ArrivalProcess, FleetJob, FleetScenario, JobTemplate};
+pub use tenant::{SerialEnv, TenantCloud};

@@ -295,6 +295,8 @@ pub struct FleetEventFold {
     pub arrived: u64,
     /// Launch requests granted.
     pub granted: u64,
+    /// Granted requests that waited simulated time first.
+    pub deferred: u64,
     /// Launch requests denied.
     pub denied: u64,
     /// Jobs completed.
@@ -313,6 +315,9 @@ impl FleetEventFold {
             SimEvent::JobArrived { .. } => self.arrived += 1,
             SimEvent::ProbeGranted { waited, .. } => {
                 self.granted += 1;
+                if waited.as_secs() > 0.0 {
+                    self.deferred += 1;
+                }
                 self.queue_wait += *waited;
             }
             SimEvent::ProbeDenied { .. } => self.denied += 1,
@@ -451,9 +456,10 @@ mod tests {
         fold.on_event(&SimEvent::ProbeGranted { job: 1, waited: SimDuration::from_mins(30.0) });
         fold.on_event(&SimEvent::ProbeDenied { job: 1 });
         fold.on_event(&SimEvent::JobCompleted { job: 1, missed: true });
+        fold.on_event(&SimEvent::ProbeGranted { job: 2, waited: SimDuration::ZERO });
         assert_eq!(
-            (fold.arrived, fold.granted, fold.denied, fold.completed, fold.missed),
-            (1, 1, 1, 1, 1)
+            (fold.arrived, fold.granted, fold.deferred, fold.denied, fold.completed, fold.missed),
+            (1, 2, 1, 1, 1, 1)
         );
         assert!((fold.queue_wait.as_hours() - 0.5).abs() < 1e-12);
     }

@@ -3,15 +3,20 @@
 //!
 //! Each fleet job runs the *unmodified* single-job pipeline — searcher →
 //! [`Profiler`](mlcd::prelude::Profiler) → training — on its own thread,
-//! against a [`TenantCloud`] instead of a private `SimCloud`. Launches
-//! become admission requests the [`FleetScheduler`](crate::policy::FleetScheduler)
-//! arbitrates; waits become time-blocks the driver resolves by advancing
-//! the one shared clock. The strict handoff protocol (at most one tenant
-//! thread runnable at any instant, and the driver performs every
-//! shared-state mutation itself) is what keeps N threads bit-
-//! deterministic.
+//! against a [`TenantCloud`] instead of a private `SimCloud`: a
+//! [`FleetSim`](crate::FleetSim) scenario job on a thread the simulation
+//! spawns, or an `mlcd-serve --fleet` session on the service worker that
+//! picked it up. Launches become admission requests the
+//! [`FleetScheduler`](crate::policy::FleetScheduler) arbitrates; waits
+//! become time-blocks the driver resolves by advancing the one shared
+//! clock. The strict handoff protocol (at most one tenant thread runnable
+//! at any instant, and the driver performs every shared-state mutation
+//! itself) is what keeps N threads bit-deterministic.
 
-use mlcd::prelude::{InstanceType, Money, SimDuration, SimTime};
+use mlcd::prelude::{
+    Deployment, InstanceType, Money, Observation, ProfileError, ProfilingEnv, SearchSpace,
+    SimDuration, SimTime,
+};
 use mlcd::system::CloudInterface;
 use mlcd_cloudsim::{CloudError, Cluster, ClusterId, MetricStore, SimCloud};
 use std::cell::RefCell;
@@ -50,7 +55,8 @@ pub(crate) enum TenantMsg {
         /// Reporting job.
         job: JobId,
     },
-    /// The tenant is done; no reply expected, the thread is exiting.
+    /// The tenant is done (its [`TenantCloud`] was dropped); the driver
+    /// books it off and acknowledges with [`DriverReply::Woken`].
     Finished {
         /// Reporting job.
         job: JobId,
@@ -63,8 +69,8 @@ pub(crate) enum DriverReply {
     /// The launch request settled (grant → the driver already performed
     /// the shared launch; deny → [`CloudError::Denied`]).
     Launched(Result<Cluster, CloudError>),
-    /// The clock reached the requested instant (or the checkpoint was
-    /// acknowledged).
+    /// The tenant was admitted, the clock reached the requested instant,
+    /// or a checkpoint (`SearchDone`, `Finished`) was acknowledged.
     Woken,
 }
 
@@ -77,6 +83,12 @@ pub(crate) struct TenantLink {
 
 /// A [`CloudInterface`] over the shared [`SimCloud`] that routes every
 /// blocking operation through the fleet driver.
+///
+/// A tenant holds one from its admission on. Dropping it — on normal
+/// completion, cancellation or a panic unwind alike — sends a `Finished`
+/// message and waits for the driver's acknowledgement, so the driver
+/// never waits on a tenant that is gone and a finished tenant is off the
+/// pool's books before its thread moves on.
 ///
 /// Spend isolation: [`total_spent`](CloudInterface::total_spent) sums the
 /// billing ledger's records *for this tenant's clusters only*, because
@@ -93,12 +105,19 @@ pub struct TenantCloud {
 }
 
 impl TenantCloud {
-    pub(crate) fn new(link: TenantLink, shared: SimCloud) -> TenantCloud {
-        TenantCloud { link, shared, owned: RefCell::new(Vec::new()) }
+    /// Block until the driver admits `link`'s arrival, then start the
+    /// tenant.
+    pub(crate) fn admit(link: TenantLink, shared: SimCloud) -> TenantCloud {
+        match link.rx.recv() {
+            Ok(DriverReply::Woken) => TenantCloud { link, shared, owned: RefCell::new(Vec::new()) },
+            other => panic!("fleet protocol: admission got {other:?}"),
+        }
     }
 
-    /// Announce the search → train phase transition to the driver.
-    pub(crate) fn mark_search_done(&self) {
+    /// Announce the search → train phase transition to the driver:
+    /// launches after this are the final training
+    /// ([`Purpose::Train`](crate::policy::Purpose::Train)).
+    pub fn mark_search_done(&self) {
         let _ = self.link.tx.send(TenantMsg::SearchDone { job: self.link.job });
         match self.link.rx.recv() {
             Ok(DriverReply::Woken) => {}
@@ -215,5 +234,43 @@ impl CloudInterface for TenantCloud {
 
     fn revocation_before(&self, cluster: &Cluster, t: SimTime) -> Option<SimTime> {
         self.shared.revocation_before(cluster, t)
+    }
+}
+
+impl Drop for TenantCloud {
+    fn drop(&mut self) {
+        // A driver that is already gone (it panicked) has nothing to book.
+        if self.link.tx.send(TenantMsg::Finished { job: self.link.job }).is_ok() {
+            let _ = self.link.rx.recv();
+        }
+    }
+}
+
+/// Serializing wrapper: forces `profile_batch` onto the default
+/// sequential path. The profiler's concurrent batch wave computes every
+/// member's settlement from one pre-launch timestamp, which is unsound
+/// when a mid-batch launch can block on admission for hours — under a
+/// fleet, batch members are probed one by one and each one queues at the
+/// scheduler individually. Every tenant's search runs through one.
+pub struct SerialEnv<'a, E>(pub &'a mut E);
+
+impl<E: ProfilingEnv> ProfilingEnv for SerialEnv<'_, E> {
+    fn space(&self) -> &SearchSpace {
+        self.0.space()
+    }
+    fn total_samples(&self) -> f64 {
+        self.0.total_samples()
+    }
+    fn quote(&self, d: &Deployment) -> (SimDuration, Money) {
+        self.0.quote(d)
+    }
+    fn profile(&mut self, d: &Deployment) -> Result<Observation, ProfileError> {
+        self.0.profile(d)
+    }
+    fn elapsed(&self) -> SimDuration {
+        self.0.elapsed()
+    }
+    fn spent(&self) -> Money {
+        self.0.spent()
     }
 }

@@ -9,9 +9,14 @@
 //!            [--fleet-gpu-cap N] ...
 //! ```
 //!
-//! `--fleet <policy>` runs every session against one shared finite-
-//! capacity pool arbitrated by the named scheduler (`fifo`, `deadline`
-//! or `fairshare`); it is incompatible with `--journal-dir`.
+//! `--fleet <policy>` runs every session as a tenant of `mlcd-fleet`'s
+//! strict-handoff driver: one shared finite-capacity pool (caps from
+//! `--fleet-cpu-cap`/`--fleet-gpu-cap`, provider and spot market seeded
+//! from `--fleet-seed`) arbitrated by the named scheduler (`fifo`,
+//! `deadline` or `fairshare`). Each session arrives at the pool's clock
+//! when a worker picks it up. It is incompatible with `--journal-dir`:
+//! arrival instants are not journaled, so a restart could not replay
+//! the pool.
 //!
 //! On start the journal directory is scanned: finished sessions are
 //! restored (their results stay queryable), in-flight ones are resumed by

@@ -304,15 +304,15 @@ pub struct ServiceStats {
 pub struct FleetStatsWire {
     /// Scheduling policy arbitrating the shared pool.
     pub policy: String,
-    /// Launch turns granted (probes + training runs).
+    /// Launches granted (probes + training runs).
     pub admitted: u64,
-    /// Requests that waited at least one decision round.
+    /// Granted requests that waited simulated time for admission.
     pub deferred: u64,
-    /// Policy denial rounds.
+    /// Requests refused: policy denials and failed launches.
     pub denied: u64,
-    /// Spot revocations suffered on the shared pool.
+    /// Spot revocations dispatched on the shared pool.
     pub preempted: u64,
-    /// Requests currently waiting at the gate.
+    /// Requests currently waiting at the arbiter.
     pub queue_depth: u64,
 }
 

@@ -86,6 +86,7 @@ use mlcd::prelude::{
     SearchSpace, SimDuration, TraceEvent, TraceSink,
 };
 use mlcd::search::searcher_by_name;
+use mlcd_fleet::SerialEnv;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -141,12 +142,14 @@ pub struct ServiceConfig {
     /// thread is mid-group — at the given crash point of the given
     /// (0-based) group.
     pub crash_commit_at: Option<(u64, CommitCrashPoint)>,
-    /// Fleet mode: run every session against one shared finite-capacity
-    /// [`mlcd_cloudsim::SimCloud`] pool, with the named
-    /// [`mlcd_fleet::FleetScheduler`] policy arbitrating probe admission
-    /// (see [`crate::fleet`]). Incompatible with `journal_dir` — fleet
-    /// interleaving is wall-clock dependent, so crash-resume's verified
-    /// replay cannot hold.
+    /// Fleet mode: run every session as a tenant of one
+    /// [`mlcd_fleet::OpenFleet`] driver over a shared finite-capacity
+    /// pool, with the named [`mlcd_fleet::FleetScheduler`] policy
+    /// arbitrating launch admission (see [`crate::fleet`]). Sessions
+    /// arrive at the driver's clock when a worker picks them up, so
+    /// outcomes are deterministic only with one worker. Incompatible with
+    /// `journal_dir`: crash-resume's verified replay would need each
+    /// arrival's instant and its place in the driver's order journaled.
     pub fleet: Option<crate::fleet::FleetConfig>,
 }
 
@@ -674,9 +677,9 @@ struct Inner {
     /// operator inspection) — unbounded by nature, so never on by
     /// default.
     started: Option<Mutex<Vec<u64>>>,
-    /// Fleet mode's shared capacity pool (see [`crate::fleet`]); `None`
-    /// runs every session on its own private cloud.
-    fleet: Option<crate::fleet::FleetPool>,
+    /// Fleet mode's driver over the shared pool (see [`crate::fleet`]);
+    /// `None` runs every session on its own private cloud.
+    fleet: Option<mlcd_fleet::OpenFleet>,
 }
 
 impl Inner {
@@ -725,14 +728,14 @@ impl SessionManager {
         if cfg.fleet.is_some() && cfg.journal_dir.is_some() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
-                "fleet mode is incompatible with journaling: probe interleaving on the \
-                 shared pool is wall-clock dependent, so crash-resume's verified replay \
+                "fleet mode is incompatible with journaling: session arrival instants on \
+                 the shared pool are not journaled, so crash-resume's verified replay \
                  cannot hold",
             ));
         }
         let fleet = match &cfg.fleet {
             Some(fc) => Some(
-                crate::fleet::FleetPool::new(fc)
+                crate::fleet::start(fc)
                     .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?,
             ),
             None => None,
@@ -1097,10 +1100,10 @@ impl SessionManager {
             journal_records: commit.records,
             journal_checkpoints: commit.checkpoints,
             sim_events: mlcd_cloudsim::global_event_counters(),
-            fleet: self.inner.fleet.as_ref().map(|pool| {
-                let c = pool.counters();
+            fleet: self.inner.fleet.as_ref().map(|fleet| {
+                let c = fleet.counters();
                 crate::proto::FleetStatsWire {
-                    policy: pool.policy_name().to_string(),
+                    policy: fleet.policy_name().to_string(),
                     admitted: c.admitted,
                     deferred: c.deferred,
                     denied: c.denied,
@@ -1281,11 +1284,6 @@ fn run_session(inner: &Arc<Inner>, mut item: WorkItem) {
 
     let resuming = item.resumed;
     let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<SessionResult, String> {
-        if inner.fleet.is_some() {
-            // Fleet mode: the shared-pool path (no journal, no resume —
-            // both rejected at construction).
-            return run_fleet_session(inner, &session);
-        }
         let spec = &session.spec;
         let job = spec.training_job()?;
         let searcher = searcher_by_name(&spec.searcher, spec.seed)
@@ -1297,14 +1295,13 @@ fn run_session(inner: &Arc<Inner>, mut item: WorkItem) {
         // One grid enumeration per (job, types, max_nodes) across every
         // concurrent session; the grid is a pure function of the key, so
         // the cached copy is bit-identical to a private enumeration.
-        let mut profiler = if inner.cfg.grid_cache {
+        let space = if inner.cfg.grid_cache {
             let key = GridKey::new(&spec.job, spec.instance_types()?.as_deref(), spec.max_nodes);
-            let space = inner.grids.get_or_build(key, || runner.space(&job));
-            runner.profiler_with_space(&job, (*space).clone())
+            (*inner.grids.get_or_build(key, || runner.space(&job))).clone()
         } else {
-            runner.profiler_for(&job)
+            runner.space(&job)
         };
-        let search = {
+        let mut search = |base: &mut dyn ProfilingEnv| {
             let provenance = ProvenanceLog::new();
             // Fresh sessions search through the shared cache; resumed
             // sessions search through the journal replayer, which serves
@@ -1313,10 +1310,10 @@ fn run_session(inner: &Arc<Inner>, mut item: WorkItem) {
             let mut cached_env;
             let mut replay_env;
             let env: &mut dyn ProfilingEnv = if resuming {
-                replay_env = ReplayEnv::new(&mut profiler, &item.resume_events, &provenance);
+                replay_env = ReplayEnv::new(base, &item.resume_events, &provenance);
                 &mut replay_env
             } else {
-                cached_env = CachedEnv::new(&mut profiler, cache, &spec.job, &provenance);
+                cached_env = CachedEnv::new(base, cache, &spec.job, &provenance);
                 &mut cached_env
             };
             let mut sink = SessionSink {
@@ -1336,9 +1333,26 @@ fn run_session(inner: &Arc<Inner>, mut item: WorkItem) {
                     sink.replay.len()
                 ));
             }
-            search
+            Ok(search)
         };
-        let experiment = runner.complete(profiler, search, searcher.name(), &session.scenario);
+        let experiment = match &inner.fleet {
+            None => {
+                let mut profiler = runner.profiler_with_space(&job, space);
+                let outcome = search(&mut profiler)?;
+                runner.complete(profiler, outcome, searcher.name(), &session.scenario)
+            }
+            // Fleet mode: this worker is the session's tenant. It searches
+            // once the driver admits it (cache hits skip admission) and
+            // leaves the pool when its cloud drops, on every exit path.
+            Some(fleet) => {
+                let deadline = session.scenario.deadline();
+                let cloud = fleet.arrive(session.id, spec.priority, deadline);
+                let mut profiler = runner.profiler_on_cloud(&job, space, cloud);
+                let outcome = search(&mut SerialEnv(&mut profiler))?;
+                profiler.cloud().mark_search_done();
+                runner.complete(profiler, outcome, searcher.name(), &session.scenario)
+            }
+        };
         Ok(SessionResult::from(&experiment))
     }));
 
@@ -1394,68 +1408,6 @@ fn run_session(inner: &Arc<Inner>, mut item: WorkItem) {
             }
         }
     }
-}
-
-/// The fleet-mode session body: same searcher pipeline as the private-
-/// cloud path, but the profiler runs over a [`crate::fleet::FleetCloud`]
-/// on the shared pool and every probe takes a scheduler-granted turn
-/// through a [`crate::fleet::FleetGateEnv`] (inside the probe cache, so
-/// hits skip admission). The final training run takes one turn the same
-/// way.
-fn run_fleet_session(inner: &Arc<Inner>, session: &Arc<Session>) -> Result<SessionResult, String> {
-    use crate::fleet::{FleetCloud, FleetGateEnv};
-    use mlcd_fleet::Purpose;
-
-    let pool = inner.fleet.as_ref().expect("fleet mode");
-    let spec = &session.spec;
-    let job = spec.training_job()?;
-    let searcher = searcher_by_name(&spec.searcher, spec.seed)
-        .ok_or_else(|| format!("unknown searcher `{}`", spec.searcher))?;
-    let mut runner = ExperimentRunner::new(spec.seed).with_max_nodes(spec.max_nodes);
-    if let Some(types) = spec.instance_types()? {
-        runner = runner.with_types(types);
-    }
-    let space = if inner.cfg.grid_cache {
-        let key = GridKey::new(&spec.job, spec.instance_types()?.as_deref(), spec.max_nodes);
-        (*inner.grids.get_or_build(key, || runner.space(&job))).clone()
-    } else {
-        runner.space(&job)
-    };
-    let deadline = match session.scenario {
-        Scenario::CheapestWithDeadline(d) => Some(d),
-        _ => None,
-    };
-    // RAII registration: the guard deregisters the session on every exit
-    // path, including panic/cancel unwinds (caught by `run_session`'s
-    // catch_unwind). A leaked registration would leave a pending request
-    // in the gate that no thread can ever consume, livelocking the pool.
-    let _registration = pool.register(session.id, spec.priority, deadline);
-    let mut profiler = runner.profiler_on_cloud(&job, space, FleetCloud::new(pool, session.id));
-    let search = {
-        let provenance = ProvenanceLog::new();
-        let cache = inner.cfg.probe_cache.then_some(&inner.cache);
-        let mut gate = FleetGateEnv::new(&mut profiler, pool, session.id);
-        let mut env = CachedEnv::new(&mut gate, cache, &spec.job, &provenance);
-        let mut sink = SessionSink {
-            session,
-            writer: None,
-            replay: &[],
-            replay_pos: 0,
-            journaled: 0,
-            provenance: &provenance,
-            crash_after: None,
-        };
-        searcher.search_traced(&mut env, &session.scenario, &mut sink)
-    };
-    let train_turn = search.best.as_ref().and_then(|b| {
-        // Policies never deny trainings; if the gate errors anyway, run
-        // the training unserialized and let the launch surface the
-        // provider's real failure.
-        pool.acquire(session.id, b.deployment.itype, b.deployment.n, Purpose::Train).ok()
-    });
-    let experiment = runner.complete(profiler, search, searcher.name(), &session.scenario);
-    drop(train_turn);
-    Ok(SessionResult::from(&experiment))
 }
 
 #[cfg(test)]

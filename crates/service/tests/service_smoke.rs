@@ -36,16 +36,24 @@ fn specs() -> [SubmitSpec; 2] {
 /// Spawn `mlcd-serve` on an ephemeral port; return the child and the
 /// address it reports on its first stdout line.
 fn spawn_server(tag: &str, cache: bool) -> (Child, String) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_mlcd-serve"));
-    cmd.args(["--listen", "127.0.0.1:0", "--workers", "2"])
-        .arg("--journal-dir")
-        .arg(dir(tag))
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null());
+    let jdir = dir(tag);
+    let mut args = vec!["--workers", "2", "--journal-dir", jdir.to_str().expect("utf-8 dir")];
     if !cache {
-        cmd.arg("--no-probe-cache");
+        args.push("--no-probe-cache");
     }
-    let mut child = cmd.spawn().expect("spawn mlcd-serve");
+    spawn_with(&args)
+}
+
+/// Spawn `mlcd-serve --listen 127.0.0.1:0` with `args`; return the child
+/// and the address from its banner.
+fn spawn_with(args: &[&str]) -> (Child, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mlcd-serve"))
+        .args(["--listen", "127.0.0.1:0"])
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn mlcd-serve");
     let mut line = String::new();
     BufReader::new(child.stdout.take().expect("stdout piped"))
         .read_line(&mut line)
@@ -230,4 +238,47 @@ fn grid_cache_shares_enumeration_and_is_outcome_neutral() {
     // Grid reuse is invisible in the outcomes (the probe cache, on in
     // both runs, is what makes the second session's probes free).
     assert_eq!(with_cache, without_cache);
+}
+
+/// The real binary in fleet mode: two concurrent sessions run as tenants
+/// of one shared pool and both finish; `Stats` reports the fleet block.
+/// Fleet mode refuses a journal directory at startup.
+#[test]
+fn fleet_mode_binary_serves_concurrent_sessions() {
+    let (mut child, addr) = spawn_with(&[
+        "--workers",
+        "2",
+        "--fleet",
+        "fairshare",
+        "--fleet-cpu-cap",
+        "16",
+        "--fleet-gpu-cap",
+        "6",
+    ]);
+    let [a, b] = specs();
+    let ids = [submit(&addr, &a), submit(&addr, &b)];
+    for id in ids {
+        result_digest(&addr, id);
+    }
+    match roundtrip(&addr, &Request::Stats) {
+        Response::Stats { stats } => {
+            let fleet = stats.fleet.expect("fleet mode reports the fleet block");
+            assert_eq!(fleet.policy, "fairshare");
+            assert!(fleet.admitted > 0, "both sessions launched clusters: {fleet:?}");
+            assert_eq!(fleet.queue_depth, 0, "a drained pool has no waiting request");
+        }
+        other => panic!("stats: {other:?}"),
+    }
+    assert!(matches!(roundtrip(&addr, &Request::Shutdown), Response::ShuttingDown));
+    let status = child.wait().expect("server exit");
+    assert!(status.success(), "server exited {status}");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_mlcd-serve"))
+        .args(["--listen", "127.0.0.1:0", "--fleet", "fifo", "--journal-dir"])
+        .arg(dir("fleet-journal"))
+        .output()
+        .expect("run mlcd-serve");
+    assert!(!out.status.success(), "fleet mode with a journal must not start");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("incompatible"), "{stderr}");
 }
