@@ -235,15 +235,12 @@ fn handle_conn(
                 None => unknown(id),
                 Some(session) => {
                     write_frame(&mut out, &mut buf, &[Response::Watching { id }])?;
-                    let mut pos = 0usize;
-                    loop {
-                        let (events, terminal) = session.next_events(pos);
-                        pos += events.len();
-                        write_frame(&mut out, &mut buf, &events)?;
-                        if let Some(state) = terminal {
-                            break Response::WatchEnd { id, state };
-                        }
-                    }
+                    // Live batches while the session runs; once it has
+                    // ended, the rest is a replay of its search on this
+                    // thread (a finished session holds only its spine).
+                    let state = manager
+                        .watch(&session, &mut |events| write_frame(&mut out, &mut buf, events))?;
+                    Response::WatchEnd { id, state }
                 }
             },
             Request::Cancel { id } if manager.cancel(id) => Response::Cancelling { id },

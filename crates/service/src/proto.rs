@@ -245,7 +245,8 @@ pub enum Request {
         /// Block until the session reaches a terminal state.
         wait: bool,
     },
-    /// Stream a session's trace events (backlog, then live until it ends).
+    /// Stream a session's trace events (backlog, then live until it ends;
+    /// past the end, replayed from the session's journaled spine).
     Watch {
         /// Session to watch.
         id: u64,

@@ -67,27 +67,35 @@
 //!   past [`ServiceConfig::retain_terminal`], oldest-completed first;
 //!   the journal stays the durable record, and `Status`/`Result`/
 //!   `Watch` for an evicted id are answered by reading it back
-//!   ([`SessionManager::session`] falls back to the journal), though a
-//!   reloaded trace holds only the journaled spine (`InitProbe`/`Probe`/
-//!   `IncumbentChanged`/`Stopped`), not the `CandidateScored`/
-//!   `CandidatePruned` lines a retained session replays. Without a
+//!   ([`SessionManager::session`] falls back to the journal). Without a
 //!   journal an evicted result is gone. The cap bounds sessions, not
-//!   bytes: a retained trace is held inline and trimmed when it ends.
+//!   bytes, so a finished session keeps only what the journal holds:
+//!   when it ends, its trace is cut to the journaled spine (`InitProbe`/
+//!   `Probe`/`IncumbentChanged`/`Stopped`) plus each probe's cache
+//!   provenance. A `Watch` on a finished session, retained or evicted,
+//!   re-runs its search the way crash-resume does — a `ReplayEnv` over
+//!   the spine, checked by the verifying sink — and streams the
+//!   reproduced trace, `CandidateScored`/`CandidatePruned` lines included
+//!   ([`SessionManager::watch`]). Fleet-mode sessions keep their whole
+//!   trace inline: their probes ran on the shared pool, which a private
+//!   profiler cannot re-derive.
 
 use crate::cache::{CachedEnv, GridCache, GridKey, ProbeCache, ProvenanceLog};
 use crate::journal::{
     is_journaled, journal_file, list_journals, read_journal, reconcile_commit_log, AppendError,
-    CommitCrashPoint, CommitStats, GroupCommitter, JournalRecord, SessionJournal, JOURNAL_FORMAT,
+    CommitCrashPoint, CommitStats, GroupCommitter, JournalContents, JournalRecord, SessionJournal,
+    JOURNAL_FORMAT,
 };
 use crate::proto::{ServiceStats, SessionResult, StatusLine, SubmitSpec};
 use crate::sync::{lock_or_die, wait_or_die};
 use mlcd::prelude::{
     Deployment, ExperimentRunner, Money, Observation, ProfileError, ProfilingEnv, Scenario,
-    SearchSpace, SimDuration, TraceEvent, TraceSink,
+    SearchSpace, Searcher, SimDuration, TraceEvent, TraceSink, TrainingJob,
 };
 use mlcd::search::searcher_by_name;
 use mlcd_fleet::SerialEnv;
 use std::collections::{BTreeMap, VecDeque};
+use std::io;
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -214,13 +222,32 @@ impl Phase {
 
 struct SessionState {
     phase: Phase,
-    /// Inline, trimmed to its length when the session ends.
+    /// Every event the search has emitted, until the trace is cut to its
+    /// spine (`spine` is then `Some`): its journaled events only.
     events: Vec<TraceEvent>,
+    /// Cache provenance of each journaled event in `events`, in order.
+    cached: Vec<bool>,
+    /// Set once `events` holds only the spine: where a replay stops.
+    spine: Option<ReplayStop>,
 }
 
-/// Upper bound on events cloned per [`Session::next_events`] poll, so
-/// a watcher far behind on a long search never holds the state mutex
-/// for a tail-sized copy (the worker's `push_event` would stall).
+/// Where a replay of a finished session's search stops.
+#[derive(Debug, Clone, Copy)]
+enum ReplayStop {
+    /// After as many events as the session emitted when it ran.
+    Emitted(usize),
+    /// After the last journaled event: a session reloaded from its
+    /// journal. A completed search's last event is its journaled
+    /// `Stopped`; a cancelled or failed one may have emitted unjournaled
+    /// lines past its last journaled event, which the journal does not
+    /// count.
+    SpineEnd,
+}
+
+/// Upper bound on events per watch batch, so a watcher far behind on a
+/// long search never holds the state mutex for a tail-sized copy (the
+/// worker's `push_event` would stall), and a replay streams in bounded
+/// frames.
 const WATCH_BATCH: usize = 256;
 
 /// One submitted search session.
@@ -238,19 +265,45 @@ pub struct Session {
     /// can never change again, so blocked watchers/waiters must wake and
     /// take the current phase as final.
     detached: AtomicBool,
+    /// Keep the whole trace when the session ends instead of cutting it
+    /// to the spine. Fleet mode: probes that ran on the shared pool
+    /// cannot be re-derived by a replay on a private profiler.
+    keep_trace: bool,
 }
 
 impl Session {
-    fn new(id: u64, spec: SubmitSpec, scenario: Scenario, phase: Phase) -> Session {
+    fn new(id: u64, spec: SubmitSpec, scenario: Scenario, keep_trace: bool) -> Session {
         Session {
             id,
             spec,
             scenario,
-            state: Mutex::new(SessionState { phase, events: Vec::new() }),
+            state: Mutex::new(SessionState {
+                phase: Phase::Queued,
+                events: Vec::new(),
+                cached: Vec::new(),
+                spine: None,
+            }),
             state_cv: Condvar::new(),
             cancel: AtomicBool::new(false),
             detached: AtomicBool::new(false),
+            keep_trace,
         }
+    }
+
+    /// A finished session rebuilt from its journal: the terminal phase
+    /// and the journaled spine, each event with its cache provenance.
+    fn from_journal(
+        id: u64,
+        spec: SubmitSpec,
+        scenario: Scenario,
+        phase: Phase,
+        spine: Vec<(TraceEvent, bool)>,
+    ) -> Session {
+        let (events, cached) = spine.into_iter().unzip();
+        let session = Session::new(id, spec, scenario, false);
+        *lock_or_die(&session.state, "session state") =
+            SessionState { phase, events, cached, spine: Some(ReplayStop::SpineEnd) };
+        session
     }
 
     /// Current lifecycle phase (cloned snapshot).
@@ -299,45 +352,65 @@ impl Session {
             searcher: self.spec.searcher.clone(),
             seed: self.spec.seed,
             priority: self.spec.priority,
-            state: self.phase().name().to_string(),
+            state: lock_or_die(&self.state, "session state").phase.name().to_string(),
         }
     }
 
-    /// Blocking event tail for watchers: up to `WATCH_BATCH` events
-    /// past `from`, or — once all events are delivered and the session
-    /// has ended (or was detached at shutdown) — the terminal/current
-    /// state name.
-    pub fn next_events(&self, from: usize) -> (Vec<TraceEvent>, Option<String>) {
+    /// Block until the held trace has an event past `from`, or the
+    /// session has ended (or was detached at shutdown).
+    fn wait_past(&self, from: usize) -> std::sync::MutexGuard<'_, SessionState> {
         let mut st = lock_or_die(&self.state, "session state");
-        loop {
-            if st.events.len() > from {
-                let end = st.events.len().min(from + WATCH_BATCH);
-                return (st.events[from..end].to_vec(), None);
-            }
-            if st.phase.is_terminal() || self.detached.load(Ordering::SeqCst) {
-                return (Vec::new(), Some(st.phase.name().to_string()));
-            }
+        while st.events.len() <= from
+            && !st.phase.is_terminal()
+            && !self.detached.load(Ordering::SeqCst)
+        {
             st = wait_or_die(&self.state_cv, st, "session state");
         }
+        st
     }
 
-    fn push_event(&self, event: TraceEvent) {
-        lock_or_die(&self.state, "session state").events.push(event);
-        self.state_cv.notify_all();
-    }
-
-    fn set_phase(&self, phase: Phase) {
-        let mut st = lock_or_die(&self.state, "session state");
-        if phase.is_terminal() {
-            st.events.shrink_to_fit(); // no event can follow
+    /// Blocking tail of the events this session holds: up to
+    /// `WATCH_BATCH` events past `from`, or — once all are delivered and
+    /// the session has ended (or was detached at shutdown) — the
+    /// terminal/current state name. A finished non-fleet session holds
+    /// only its journaled spine; [`SessionManager::watch`] streams the
+    /// whole trace.
+    pub fn next_events(&self, from: usize) -> (Vec<TraceEvent>, Option<String>) {
+        let st = self.wait_past(from);
+        if st.events.len() > from {
+            let end = st.events.len().min(from + WATCH_BATCH);
+            return (st.events[from..end].to_vec(), None);
         }
-        st.phase = phase;
+        (Vec::new(), Some(st.phase.name().to_string()))
+    }
+
+    /// Append an event, with its cache provenance when it is journaled.
+    fn push_event(&self, event: TraceEvent, cached: Option<bool>) {
+        let mut st = lock_or_die(&self.state, "session state");
+        st.events.push(event);
+        st.cached.extend(cached);
         drop(st);
         self.state_cv.notify_all();
     }
 
-    fn seed_events(&self, events: Vec<TraceEvent>) {
-        lock_or_die(&self.state, "session state").events = events;
+    /// Publish a new phase. A terminal phase freezes the trace: unless
+    /// the session keeps its trace, it is cut to the journaled spine
+    /// first, in the same critical section, so a watcher sees either the
+    /// whole live trace or the spine and its replay stop.
+    fn set_phase(&self, phase: Phase) {
+        let mut st = lock_or_die(&self.state, "session state");
+        if phase.is_terminal() {
+            if !self.keep_trace {
+                let emitted = st.events.len();
+                st.events.retain(is_journaled);
+                st.spine = Some(ReplayStop::Emitted(emitted));
+            }
+            st.events.shrink_to_fit(); // no event can follow
+            st.cached.shrink_to_fit();
+        }
+        st.phase = phase;
+        drop(st);
+        self.state_cv.notify_all();
     }
 }
 
@@ -351,6 +424,10 @@ struct CrashSignal;
 struct ReplayDivergence(String);
 /// Journal append failure mid-search.
 struct JournalIo(String);
+/// A watch replay reached its [`ReplayStop`].
+struct ReplayEnd;
+/// A watch replay's watcher went away (its frame write failed).
+struct WatcherGone(io::Error);
 
 /// Install (once, process-wide) a panic hook that stays silent for the
 /// service's control-flow sentinels and delegates everything else to the
@@ -366,6 +443,8 @@ fn install_quiet_hook() {
                 || p.is::<CrashSignal>()
                 || p.is::<ReplayDivergence>()
                 || p.is::<JournalIo>()
+                || p.is::<ReplayEnd>()
+                || p.is::<WatcherGone>()
             {
                 return;
             }
@@ -383,7 +462,13 @@ fn is_probe_event(event: &TraceEvent) -> bool {
 }
 
 struct SessionSink<'a> {
-    session: &'a Session,
+    /// Takes each event once it is verified or journaled, with its cache
+    /// provenance when it is journaled: the live session's trace, or a
+    /// watcher's replay.
+    out: &'a mut dyn FnMut(TraceEvent, Option<bool>),
+    /// The live session's cancel flag, checked at every event. A replay
+    /// of a finished session has none.
+    cancel: Option<&'a AtomicBool>,
     writer: Option<&'a mut SessionJournal>,
     /// Journaled prefix to verify against when resuming: each event with
     /// its provenance (`true` = served by the cache in the original run).
@@ -398,14 +483,16 @@ struct SessionSink<'a> {
 
 impl TraceSink for SessionSink<'_> {
     fn record(&mut self, event: TraceEvent) {
-        if self.session.cancel_requested() {
+        if self.cancel.is_some_and(|c| c.load(Ordering::SeqCst)) {
             panic_any(CancelSignal);
         }
+        let mut provenance = None;
         if is_journaled(&event) {
             // Every journaled probe event consumes its provenance flag —
             // on the verify path too, so the queue stays aligned with the
             // probe stream across the prefix/append boundary.
             let cached = is_probe_event(&event) && self.provenance.pop();
+            provenance = Some(cached);
             if self.replay_pos < self.replay.len() {
                 // Verify the re-emitted event against the journal prefix.
                 // String equality is bit equality here: the serde shim's
@@ -448,7 +535,7 @@ impl TraceSink for SessionSink<'_> {
             }
             self.journaled += 1;
         }
-        self.session.push_event(event);
+        (self.out)(event, provenance);
         if let Some(n) = self.crash_after {
             if self.journaled >= n {
                 panic_any(CrashSignal);
@@ -604,6 +691,128 @@ impl ProfilingEnv for ReplayEnv<'_> {
 
     fn spent(&self) -> Money {
         self.inner.spent()
+    }
+}
+
+// ---- replaying a finished session's trace ----------------------------
+
+/// The journaled spine of a session: each event with its provenance.
+fn spine_of(contents: &JournalContents) -> Vec<(TraceEvent, bool)> {
+    contents.event_entries().into_iter().map(|(event, cached)| (event.clone(), cached)).collect()
+}
+
+/// The phase a terminal journal record stands for.
+fn journaled_phase(record: &JournalRecord) -> Option<Phase> {
+    Some(match record {
+        JournalRecord::Completed { result } => Phase::Done(Box::new(result.clone())),
+        JournalRecord::Cancelled => Phase::Cancelled,
+        JournalRecord::Failed { error } => Phase::Failed(error.clone()),
+        _ => return None,
+    })
+}
+
+/// Everything a session's search runs with but its environment.
+struct SearchSetup {
+    runner: ExperimentRunner,
+    job: TrainingJob,
+    searcher: Box<dyn Searcher + Send + Sync>,
+    space: SearchSpace,
+}
+
+fn search_setup(inner: &Inner, spec: &SubmitSpec) -> Result<SearchSetup, String> {
+    let job = spec.training_job()?;
+    let searcher = searcher_by_name(&spec.searcher, spec.seed)
+        .ok_or_else(|| format!("unknown searcher `{}`", spec.searcher))?;
+    let mut runner = ExperimentRunner::new(spec.seed).with_max_nodes(spec.max_nodes);
+    if let Some(types) = spec.instance_types()? {
+        runner = runner.with_types(types);
+    }
+    // One grid enumeration per (job, types, max_nodes) across every
+    // concurrent session; the grid is a pure function of the key, so
+    // the cached copy is bit-identical to a private enumeration.
+    let space = if inner.cfg.grid_cache {
+        let key = GridKey::new(&spec.job, spec.instance_types()?.as_deref(), spec.max_nodes);
+        (*inner.grids.get_or_build(key, || runner.space(&job))).clone()
+    } else {
+        runner.space(&job)
+    };
+    Ok(SearchSetup { runner, job, searcher, space })
+}
+
+/// Re-run a finished session's search over its `spine` and hand `emit`
+/// every event past the first `from`, in batches of at most
+/// `WATCH_BATCH`, until `stop`. The environment and sink are
+/// crash-resume's: journaled cache hits are served from the spine, paid
+/// probes re-run on a fresh private profiler, and every journaled event
+/// is checked against the spine string for string. Nothing is journaled
+/// and the live probe cache is never consulted.
+fn replay_trace(
+    inner: &Inner,
+    session: &Session,
+    spine: &[(TraceEvent, bool)],
+    stop: ReplayStop,
+    from: usize,
+    emit: &mut dyn FnMut(&[TraceEvent]) -> io::Result<()>,
+) -> io::Result<()> {
+    let setup = search_setup(inner, &session.spec).map_err(io::Error::other)?;
+    let mut profiler = setup.runner.profiler_with_space(&setup.job, setup.space);
+    let provenance = ProvenanceLog::new();
+    let mut env = ReplayEnv::new(&mut profiler, spine, &provenance);
+    let mut batch = Vec::with_capacity(WATCH_BATCH);
+    let (mut seen, mut journaled) = (0usize, 0usize);
+    let outcome = {
+        let mut out = |event: TraceEvent, cached: Option<bool>| {
+            if seen >= from {
+                batch.push(event);
+            }
+            seen += 1;
+            journaled += usize::from(cached.is_some());
+            let done = match stop {
+                ReplayStop::Emitted(n) => seen >= n,
+                ReplayStop::SpineEnd => journaled >= spine.len(),
+            };
+            if batch.len() == WATCH_BATCH || (done && !batch.is_empty()) {
+                if let Err(e) = emit(&batch) {
+                    panic_any(WatcherGone(e));
+                }
+                batch.clear();
+            }
+            if done {
+                panic_any(ReplayEnd);
+            }
+        };
+        let mut sink = SessionSink {
+            out: &mut out,
+            cancel: None,
+            writer: None,
+            replay: spine,
+            replay_pos: 0,
+            journaled: 0,
+            provenance: &provenance,
+            crash_after: None,
+        };
+        catch_unwind(AssertUnwindSafe(|| {
+            setup.searcher.search_traced(&mut env, &session.scenario, &mut sink);
+        }))
+    };
+    match outcome {
+        Err(payload) if payload.is::<ReplayEnd>() => return Ok(()),
+        Err(payload) => match payload.downcast::<WatcherGone>() {
+            Ok(gone) => return Err(gone.0),
+            Err(payload) => {
+                if let Some(d) = payload.downcast_ref::<ReplayDivergence>() {
+                    return Err(io::Error::other(format!("session {}: {}", session.id, d.0)));
+                }
+                // A searcher panic: the session failed at this very
+                // event when it ran, so the trace ends here too.
+            }
+        },
+        Ok(()) => {}
+    }
+    if batch.is_empty() {
+        Ok(())
+    } else {
+        emit(&batch)
     }
 }
 
@@ -775,43 +984,14 @@ impl SessionManager {
                     continue;
                 };
                 next_id = next_id.max(id + 1);
-                let entries_with_provenance: Vec<(TraceEvent, bool)> = contents
-                    .event_entries()
-                    .into_iter()
-                    .map(|(event, cached)| (event.clone(), cached))
-                    .collect();
-                let events: Vec<TraceEvent> =
-                    entries_with_provenance.iter().map(|(e, _)| e.clone()).collect();
-                match contents.terminal() {
-                    Some(JournalRecord::Completed { result }) => {
-                        let s = Arc::new(Session::new(
-                            id,
-                            spec,
-                            scenario,
-                            Phase::Done(Box::new(result.clone())),
-                        ));
-                        s.seed_events(events);
-                        sessions.insert(id, s);
+                let spine = spine_of(&contents);
+                match contents.terminal().and_then(journaled_phase) {
+                    Some(phase) => {
+                        let s = Session::from_journal(id, spec, scenario, phase, spine);
+                        sessions.insert(id, Arc::new(s));
                         terminal_order.push_back(id);
                     }
-                    Some(JournalRecord::Cancelled) => {
-                        let s = Arc::new(Session::new(id, spec, scenario, Phase::Cancelled));
-                        s.seed_events(events);
-                        sessions.insert(id, s);
-                        terminal_order.push_back(id);
-                    }
-                    Some(JournalRecord::Failed { error }) => {
-                        let s = Arc::new(Session::new(
-                            id,
-                            spec,
-                            scenario,
-                            Phase::Failed(error.clone()),
-                        ));
-                        s.seed_events(events);
-                        sessions.insert(id, s);
-                        terminal_order.push_back(id);
-                    }
-                    _ => {
+                    None => {
                         // In-flight at the crash: truncate the torn tail
                         // and requeue for deterministic replay.
                         let journal = SessionJournal::open_append(
@@ -821,14 +1001,13 @@ impl SessionManager {
                             id,
                             committer.as_ref().map(GroupCommitter::handle),
                         )?;
-                        let session =
-                            Arc::new(Session::new(id, spec.clone(), scenario, Phase::Queued));
+                        let session = Arc::new(Session::new(id, spec.clone(), scenario, false));
                         sessions.insert(id, session.clone());
                         entries.push(WorkItem {
                             session,
                             journal: Some(journal),
                             resumed: true,
-                            resume_events: entries_with_provenance,
+                            resume_events: spine,
                             priority: spec.priority,
                             seq,
                         });
@@ -964,7 +1143,8 @@ impl SessionManager {
         // client was told did not get in. The insert+push itself is
         // cheap, so holding `control` across it keeps the wakeup
         // race-free without a global queue lock.
-        let session = Arc::new(Session::new(id, spec.clone(), scenario, Phase::Queued));
+        let keep_trace = self.inner.fleet.is_some();
+        let session = Arc::new(Session::new(id, spec.clone(), scenario, keep_trace));
         let control = lock_or_die(&self.inner.control, "service control");
         if control.shutdown {
             drop(control);
@@ -1024,17 +1204,58 @@ impl SessionManager {
         let JournalRecord::Header { spec, scenario, .. } = contents.header().cloned()? else {
             return None;
         };
-        let phase = match contents.terminal()? {
-            JournalRecord::Completed { result } => Phase::Done(Box::new(result.clone())),
-            JournalRecord::Cancelled => Phase::Cancelled,
-            JournalRecord::Failed { error } => Phase::Failed(error.clone()),
-            _ => return None,
-        };
-        let events: Vec<TraceEvent> =
-            contents.event_entries().into_iter().map(|(e, _)| e.clone()).collect();
-        let s = Arc::new(Session::new(id, spec, scenario, phase));
-        s.seed_events(events);
-        Some(s)
+        let phase = journaled_phase(contents.terminal()?)?;
+        Some(Arc::new(Session::from_journal(id, spec, scenario, phase, spine_of(&contents))))
+    }
+
+    /// Stream `session`'s whole trace from its first event to `emit`, at
+    /// most `WATCH_BATCH` events per call, following a running session
+    /// live, and return the state it ended in (or, after shutdown, the
+    /// state it was frozen in).
+    ///
+    /// A finished non-fleet session holds only its spine, so the events
+    /// past what this watcher has already seen are re-derived: the search
+    /// re-runs on this thread, through a `ReplayEnv` over the spine and
+    /// the verifying sink, exactly as a crash-resume would. That covers
+    /// a watch on a retained or an evicted session, and a watcher that
+    /// was still behind when its session ended. A watcher that had
+    /// caught up pays nothing.
+    ///
+    /// # Errors
+    /// The first error `emit` returns (the replay stops there), or a
+    /// replay that diverged from the spine.
+    pub fn watch(
+        &self,
+        session: &Session,
+        emit: &mut dyn FnMut(&[TraceEvent]) -> io::Result<()>,
+    ) -> io::Result<String> {
+        let mut pos = 0usize;
+        loop {
+            let st = session.wait_past(pos);
+            let state = st.phase.name().to_string();
+            let Some(stop) = st.spine else {
+                if st.events.len() == pos {
+                    return Ok(state); // ended, or frozen at shutdown
+                }
+                let end = st.events.len().min(pos + WATCH_BATCH);
+                let batch = st.events[pos..end].to_vec();
+                drop(st);
+                pos = end;
+                emit(&batch)?;
+                continue;
+            };
+            let caught_up = match stop {
+                ReplayStop::Emitted(n) => pos >= n,
+                ReplayStop::SpineEnd => st.events.is_empty(),
+            };
+            if !caught_up {
+                let spine: Vec<(TraceEvent, bool)> =
+                    st.events.iter().cloned().zip(st.cached.iter().copied()).collect();
+                drop(st);
+                replay_trace(&self.inner, session, &spine, stop, pos, emit)?;
+            }
+            return Ok(state);
+        }
     }
 
     /// Status rows: one session, or every live session in id order.
@@ -1285,22 +1506,7 @@ fn run_session(inner: &Arc<Inner>, mut item: WorkItem) {
     let resuming = item.resumed;
     let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<SessionResult, String> {
         let spec = &session.spec;
-        let job = spec.training_job()?;
-        let searcher = searcher_by_name(&spec.searcher, spec.seed)
-            .ok_or_else(|| format!("unknown searcher `{}`", spec.searcher))?;
-        let mut runner = ExperimentRunner::new(spec.seed).with_max_nodes(spec.max_nodes);
-        if let Some(types) = spec.instance_types()? {
-            runner = runner.with_types(types);
-        }
-        // One grid enumeration per (job, types, max_nodes) across every
-        // concurrent session; the grid is a pure function of the key, so
-        // the cached copy is bit-identical to a private enumeration.
-        let space = if inner.cfg.grid_cache {
-            let key = GridKey::new(&spec.job, spec.instance_types()?.as_deref(), spec.max_nodes);
-            (*inner.grids.get_or_build(key, || runner.space(&job))).clone()
-        } else {
-            runner.space(&job)
-        };
+        let SearchSetup { runner, job, searcher, space } = search_setup(inner, spec)?;
         let mut search = |base: &mut dyn ProfilingEnv| {
             let provenance = ProvenanceLog::new();
             // Fresh sessions search through the shared cache; resumed
@@ -1316,8 +1522,10 @@ fn run_session(inner: &Arc<Inner>, mut item: WorkItem) {
                 cached_env = CachedEnv::new(base, cache, &spec.job, &provenance);
                 &mut cached_env
             };
+            let mut push = |event, cached| session.push_event(event, cached);
             let mut sink = SessionSink {
-                session: &session,
+                out: &mut push,
+                cancel: Some(&session.cancel),
                 writer: item.journal.as_mut(),
                 replay: &item.resume_events,
                 replay_pos: 0,
@@ -1814,17 +2022,20 @@ mod tests {
         assert!(matches!(session.wait_terminal(), Phase::Done(_)));
         {
             let st = lock_or_die(&session.state, "session state");
-            assert_eq!(st.events.capacity(), st.events.len(), "a retained trace is trimmed");
+            assert!(st.events.iter().all(is_journaled), "the retained buffer is the spine");
+            assert_eq!(st.cached.len(), st.events.len(), "one provenance flag per spine event");
+            assert_eq!(st.events.capacity(), st.events.len(), "a retained spine is trimmed");
         }
 
         let mut replayed = Vec::new();
-        loop {
-            let (events, terminal) = session.next_events(replayed.len());
-            replayed.extend(events);
-            if terminal.is_some() {
-                break;
-            }
-        }
+        let state = m
+            .watch(&session, &mut |events| {
+                assert!(events.len() <= WATCH_BATCH, "replay batches must be bounded");
+                replayed.extend_from_slice(events);
+                Ok(())
+            })
+            .expect("replay");
+        assert_eq!(state, "done");
 
         let job = spec.training_job().unwrap();
         let searcher = searcher_by_name(&spec.searcher, spec.seed).unwrap();
