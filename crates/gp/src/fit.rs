@@ -3,7 +3,9 @@
 //! Hyperparameters θ = (log σ_f², log ℓ₁…log ℓ_d, log σ_n²) are fitted by
 //! minimising the negative log marginal likelihood of the *standardised*
 //! targets with multi-start Nelder–Mead (starts drawn by Latin hypercube,
-//! local searches run in parallel by `mlcd-linalg`).
+//! local searches run in parallel by `mlcd-linalg` on the process-wide
+//! `rayon` helper pool). A fit spawns no thread, so refitting at every
+//! search step costs only the wake-up of parked helpers.
 //!
 //! Working in log-space keeps every parameter positive without constrained
 //! optimisation; the search ranges below assume inputs roughly in the unit

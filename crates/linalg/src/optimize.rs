@@ -3,7 +3,10 @@
 //! The GP marginal likelihood is cheap (one Cholesky per evaluation, on a
 //! matrix with one row per profiling observation) but non-convex in the
 //! kernel hyperparameters, so we run Nelder–Mead from several Latin-
-//! hypercube starts in parallel and keep the best optimum.
+//! hypercube starts in parallel and keep the best optimum. The starts fan
+//! out over the process-wide `rayon` helper pool (no thread is spawned
+//! per call), and the best is chosen in start order, so the result is the
+//! same at any thread count and under concurrent callers.
 
 use crate::sampling::{latin_hypercube, SampleRange};
 use rand::rngs::SmallRng;
@@ -372,6 +375,48 @@ mod tests {
             &NelderMeadOptions::default(),
         );
         assert!((r.x[0] - 0.25).abs() < 1e-4);
+    }
+
+    #[test]
+    fn concurrent_multi_starts_match_sequential_bit_for_bit() {
+        // Four callers share the fan-out pool at once; each must get the
+        // result of running its starts one after another on one thread.
+        let f = |x: &[f64]| {
+            (x[0] - 0.3).powi(2) + (x[1] + 0.7).powi(2) + 0.1 * (5.0 * x[0] * x[1]).sin()
+        };
+        let ranges = [SampleRange { lo: -2.0, hi: 2.0 }, SampleRange { lo: -2.0, hi: 2.0 }];
+        let extra = [vec![1.5, -1.5]];
+        let opts = NelderMeadOptions::default();
+        let sequential = |seed: u64| {
+            let mut starts = latin_hypercube(&ranges, 8, &mut SmallRng::seed_from_u64(seed));
+            starts.extend(extra.iter().cloned());
+            starts
+                .iter()
+                .map(|x0| nelder_mead(f, x0, &opts))
+                .min_by(|a, b| a.fx.total_cmp(&b.fx))
+                .expect("starts")
+        };
+        let pooled =
+            |seed: u64| multi_start_nelder_mead_with(|| f, &ranges, 8, &extra, seed, &opts);
+        let bits =
+            |r: &OptResult| (r.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), r.fx.to_bits());
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            let callers: Vec<_> = (0..4u64)
+                .map(|k| {
+                    let (start, pooled) = (&start, &pooled);
+                    s.spawn(move || {
+                        start.wait();
+                        (k * 100..k * 100 + 20).map(|seed| (seed, pooled(seed))).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for caller in callers {
+                for (seed, r) in caller.join().expect("caller thread") {
+                    assert_eq!(bits(&r), bits(&sequential(seed)), "seed {seed}");
+                }
+            }
+        });
     }
 
     #[test]

@@ -229,6 +229,9 @@ struct SessionState {
     cached: Vec<bool>,
     /// Set once `events` holds only the spine: where a replay stops.
     spine: Option<ReplayStop>,
+    /// Watchers blocked in `wait_past`: `push_event` notifies only when
+    /// one is waiting.
+    event_waiters: usize,
 }
 
 /// Where a replay of a finished session's search stops.
@@ -282,6 +285,7 @@ impl Session {
                 events: Vec::new(),
                 cached: Vec::new(),
                 spine: None,
+                event_waiters: 0,
             }),
             state_cv: Condvar::new(),
             cancel: AtomicBool::new(false),
@@ -301,8 +305,13 @@ impl Session {
     ) -> Session {
         let (events, cached) = spine.into_iter().unzip();
         let session = Session::new(id, spec, scenario, false);
-        *lock_or_die(&session.state, "session state") =
-            SessionState { phase, events, cached, spine: Some(ReplayStop::SpineEnd) };
+        *lock_or_die(&session.state, "session state") = SessionState {
+            phase,
+            events,
+            cached,
+            spine: Some(ReplayStop::SpineEnd),
+            event_waiters: 0,
+        };
         session
     }
 
@@ -364,7 +373,9 @@ impl Session {
             && !st.phase.is_terminal()
             && !self.detached.load(Ordering::SeqCst)
         {
+            st.event_waiters += 1;
             st = wait_or_die(&self.state_cv, st, "session state");
+            st.event_waiters -= 1;
         }
         st
     }
@@ -385,12 +396,17 @@ impl Session {
     }
 
     /// Append an event, with its cache provenance when it is journaled.
+    /// Wakes blocked watchers only when there are any: a search emits
+    /// events far faster than anyone waits on them.
     fn push_event(&self, event: TraceEvent, cached: Option<bool>) {
         let mut st = lock_or_die(&self.state, "session state");
         st.events.push(event);
         st.cached.extend(cached);
+        let waiters = st.event_waiters;
         drop(st);
-        self.state_cv.notify_all();
+        if waiters > 0 {
+            self.state_cv.notify_all();
+        }
     }
 
     /// Publish a new phase. A terminal phase freezes the trace: unless
@@ -709,6 +725,17 @@ fn journaled_phase(record: &JournalRecord) -> Option<Phase> {
         JournalRecord::Failed { error } => Phase::Failed(error.clone()),
         _ => return None,
     })
+}
+
+/// The terminal journal record that stands for `phase` (the inverse of
+/// [`journaled_phase`]).
+fn terminal_record(phase: &Phase) -> JournalRecord {
+    match phase {
+        Phase::Done(result) => JournalRecord::Completed { result: (**result).clone() },
+        Phase::Failed(error) => JournalRecord::Failed { error: error.clone() },
+        Phase::Cancelled => JournalRecord::Cancelled,
+        other => unreachable!("no terminal record for phase {}", other.name()),
+    }
 }
 
 /// Everything a session's search runs with but its environment.
@@ -1444,13 +1471,14 @@ fn worker_loop(inner: &Arc<Inner>) {
     }
 }
 
-/// Append a terminal record and, once it is durable, publish the phase
-/// it maps to — without parking this thread on the group fsync. In
-/// group mode the finalisation (retire + `set_phase`) runs on the
-/// commit thread's ack path, so a worker hands off its finished session
-/// and immediately picks up the next one; the session only *becomes*
-/// terminal once its record is durable, exactly as before. In direct
-/// mode (and with no journal) everything runs inline on this thread.
+/// Append the terminal record `on_durable` stands for and, once it is
+/// durable, publish that phase — without parking this thread on the
+/// group fsync. In group mode the finalisation (retire + `set_phase`)
+/// runs on the commit thread's ack path, so a worker hands off its
+/// finished session and immediately picks up the next one; the session
+/// only *becomes* terminal once its record is durable, exactly as
+/// before. In direct mode (and with no journal) everything runs inline
+/// on this thread.
 ///
 /// An [`AppendError::Crashed`] means the simulated kill happened before
 /// the record became durable: the session is left [`Phase::Crashed`]
@@ -1461,9 +1489,11 @@ fn finish_session(
     inner: &Arc<Inner>,
     session: &Arc<Session>,
     journal: Option<SessionJournal>,
-    record: &JournalRecord,
     on_durable: Phase,
 ) {
+    // Built only when there is a journal to take it: a completed record
+    // copies the whole result.
+    let record = journal.is_some().then(|| terminal_record(&on_durable));
     let finalize = {
         let inner = inner.clone();
         let session = session.clone();
@@ -1487,8 +1517,8 @@ fn finish_session(
             session.set_phase(phase);
         }
     };
-    match journal {
-        Some(j) => j.append_async(record, finalize),
+    match journal.zip(record) {
+        Some((j, record)) => j.append_async(&record, finalize),
         None => finalize(Ok(())),
     }
 }
@@ -1498,7 +1528,7 @@ fn run_session(inner: &Arc<Inner>, mut item: WorkItem) {
     if session.cancel_requested() {
         // Cancelled while still queued: terminal record, no search.
         let journal = item.journal.take();
-        finish_session(inner, &session, journal, &JournalRecord::Cancelled, Phase::Cancelled);
+        finish_session(inner, &session, journal, Phase::Cancelled);
         return;
     }
     session.set_phase(Phase::Running);
@@ -1566,29 +1596,11 @@ fn run_session(inner: &Arc<Inner>, mut item: WorkItem) {
 
     let journal = item.journal.take();
     match outcome {
-        Ok(Ok(result)) => finish_session(
-            inner,
-            &session,
-            journal,
-            &JournalRecord::Completed { result: result.clone() },
-            Phase::Done(Box::new(result)),
-        ),
-        Ok(Err(error)) => finish_session(
-            inner,
-            &session,
-            journal,
-            &JournalRecord::Failed { error: error.clone() },
-            Phase::Failed(error),
-        ),
+        Ok(Ok(result)) => finish_session(inner, &session, journal, Phase::Done(Box::new(result))),
+        Ok(Err(error)) => finish_session(inner, &session, journal, Phase::Failed(error)),
         Err(payload) => {
             if payload.is::<CancelSignal>() {
-                finish_session(
-                    inner,
-                    &session,
-                    journal,
-                    &JournalRecord::Cancelled,
-                    Phase::Cancelled,
-                );
+                finish_session(inner, &session, journal, Phase::Cancelled);
             } else if payload.is::<CrashSignal>() {
                 // Simulated kill: no terminal record — exactly what a real
                 // SIGKILL leaves behind. The next manager resumes it. Not
@@ -1606,13 +1618,7 @@ fn run_session(inner: &Arc<Inner>, mut item: WorkItem) {
                 } else {
                     "searcher panicked".to_string()
                 };
-                finish_session(
-                    inner,
-                    &session,
-                    journal,
-                    &JournalRecord::Failed { error: error.clone() },
-                    Phase::Failed(error),
-                );
+                finish_session(inner, &session, journal, Phase::Failed(error));
             }
         }
     }
@@ -1761,6 +1767,38 @@ mod tests {
             cum_profile_time: SimDuration::ZERO,
             cum_profile_cost: Money::ZERO,
         }
+    }
+
+    #[test]
+    fn a_blocked_watcher_wakes_on_a_pushed_event() {
+        // `push_event` notifies only counted waiters: a watcher parked in
+        // `next_events` must get a mid-search event, not wait for the end.
+        let spec = tiny_spec("resnet-cifar10", 1);
+        let scenario = spec.scenario().unwrap();
+        let session = Session::new(1, spec, scenario, false);
+        let waiters = || lock_or_die(&session.state, "session state").event_waiters;
+        let obs = synthetic_env().profile(&Deployment::new(InstanceType::C5Xlarge, 1)).unwrap();
+        std::thread::scope(|s| {
+            let watcher = s.spawn(|| session.next_events(0));
+            while waiters() == 0 {
+                std::thread::yield_now();
+            }
+            session.push_event(probe_event(obs), Some(false));
+            for _ in 0..10_000 {
+                if watcher.is_finished() {
+                    break;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            let woke = watcher.is_finished();
+            if !woke {
+                session.set_phase(Phase::Cancelled); // release it to fail cleanly
+            }
+            let (events, end) = watcher.join().expect("watcher");
+            assert!(woke, "the pushed event did not wake the watcher");
+            assert_eq!((events.len(), end), (1, None));
+        });
+        assert_eq!(waiters(), 0);
     }
 
     #[test]
