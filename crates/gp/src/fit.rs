@@ -10,6 +10,14 @@
 //! Working in log-space keeps every parameter positive without constrained
 //! optimisation; the search ranges below assume inputs roughly in the unit
 //! cube and standardised targets, which [`crate::scale`] provides.
+//!
+//! Every evaluation goes through [`CachedNlml`], which allocates nothing
+//! once warm (`tests/zero_alloc_nlml.rs` pins this). Its `exp` calls, the
+//! kernel fill's correlation pass, the factorisation and the forward solve
+//! run on `mlcd_linalg::fastpath`: AVX2 code with an inlined `exp` where
+//! the CPU supports it, and bit-identical to the baseline compilation, so
+//! the fitted θ does not depend on which one runs. [`nlml_naive`] is the
+//! reference the property tests hold it to.
 
 // lint: allow(hot-index, file) — the θ vector layout [log σ_f², log ℓ₁…ℓ_d, log σ_n²] has
 // fixed length d+2, established by the SampleRange construction and debug-asserted at every
@@ -19,6 +27,7 @@ use crate::kernel::{ArdKernel, KernelFamily};
 use crate::model::GpError;
 use crate::scale::OutputScaler;
 use crate::workspace::DistanceWorkspace;
+use mlcd_linalg::fastpath::exp_into;
 use mlcd_linalg::{
     multi_start_nelder_mead_with, Chol, CholWorkspace, Mat, NelderMeadOptions, SampleRange,
 };
@@ -42,11 +51,6 @@ pub struct FitOptions {
     /// Search range for log σ_n². The lower bound acts as a noise floor,
     /// which keeps kernel matrices well-conditioned.
     pub log_noise_var: (f64, f64),
-    /// Evaluate the likelihood through the cached distance workspace
-    /// ([`CachedNlml`], the default) instead of the entry-by-entry
-    /// reference path ([`nlml_naive`]). The two agree to rounding
-    /// (≲1e-12 relative), not bitwise.
-    pub use_cached_nlml: bool,
     /// Optional warm start appended to the restarts: the log-space θ of a
     /// previous fit (length d+2). Invalid values (wrong length or
     /// non-finite) are ignored. The Latin-hypercube draw is unaffected,
@@ -71,7 +75,6 @@ impl Default for FitOptions {
             log_lengthscale: ((0.02f64).ln(), (20.0f64).ln()),
             log_signal_var: ((0.05f64).ln(), (20.0f64).ln()),
             log_noise_var: ((1e-6f64).ln(), (1.0f64).ln()),
-            use_cached_nlml: true,
             warm_start: None,
             warm_burnin: 8,
             warm_restarts: 3,
@@ -167,7 +170,8 @@ pub fn nlml_naive(
 /// [`DistanceWorkspace::fill_kernel`] for why not bitwise.
 pub struct CachedNlml<'w> {
     dist: &'w DistanceWorkspace,
-    ls: Vec<f64>,
+    /// `exp(θ)`: `[σ_f², ℓ₁…ℓ_d, σ_n²]`.
+    exp_theta: Vec<f64>,
     r2: Vec<f64>,
     k: Mat,
     alpha: Vec<f64>,
@@ -179,7 +183,7 @@ impl<'w> CachedNlml<'w> {
     pub fn new(dist: &'w DistanceWorkspace) -> Self {
         CachedNlml {
             dist,
-            ls: Vec::new(),
+            exp_theta: Vec::new(),
             r2: Vec::new(),
             k: Mat::zeros(0, 0),
             alpha: Vec::new(),
@@ -204,10 +208,10 @@ impl<'w> CachedNlml<'w> {
             return f64::INFINITY;
         }
 
-        let sf2 = theta[0].exp();
-        self.ls.clear();
-        self.ls.extend(theta[1..=d].iter().map(|t| t.exp()));
-        let sn2 = theta[d + 1].exp();
+        // The same bits as `theta[i].exp()`, one call for all d+2.
+        self.exp_theta.resize(theta.len(), 0.0);
+        exp_into(theta, &mut self.exp_theta);
+        let (sf2, sn2) = (self.exp_theta[0], self.exp_theta[d + 1]);
 
         // Only K's lower triangle is maintained (stale upper entries from
         // the previous evaluation are never read): the factorisation
@@ -216,7 +220,8 @@ impl<'w> CachedNlml<'w> {
         // any sane input, and a non-finite entry (conceivable only for
         // astronomically large xs) still fails factorisation through the
         // pivot checks, landing on the same +inf wall the naive path hits.
-        self.dist.fill_kernel_lower(family, sf2, &self.ls, &mut self.r2, &mut self.k);
+        let ls = &self.exp_theta[1..=d];
+        self.dist.fill_kernel_lower(family, sf2, ls, &mut self.r2, &mut self.k);
         self.k.add_diag(sn2);
         if self
             .chol
@@ -323,31 +328,20 @@ pub fn fit_hyperparams_with_scratch(
     };
     let extra: Vec<Vec<f64>> = warm.map(|w| w.to_vec()).into_iter().collect();
 
-    let best = if opts.use_cached_nlml {
-        scratch.dist.rebuild(xs);
-        let dist = &scratch.dist;
-        let z = &z;
-        multi_start_nelder_mead_with(
-            || {
-                let mut cache = CachedNlml::new(dist);
-                move |theta: &[f64]| cache.eval(theta, z, family, opts)
-            },
-            &ranges,
-            n_lhc,
-            &extra,
-            opts.seed,
-            &opts.nm,
-        )
-    } else {
-        multi_start_nelder_mead_with(
-            || |theta: &[f64]| nlml_naive(theta, xs, &z, family, opts),
-            &ranges,
-            n_lhc,
-            &extra,
-            opts.seed,
-            &opts.nm,
-        )
-    };
+    scratch.dist.rebuild(xs);
+    let dist = &scratch.dist;
+    let z = &z;
+    let best = multi_start_nelder_mead_with(
+        || {
+            let mut cache = CachedNlml::new(dist);
+            move |theta: &[f64]| cache.eval(theta, z, family, opts)
+        },
+        &ranges,
+        n_lhc,
+        &extra,
+        opts.seed,
+        &opts.nm,
+    );
 
     if !best.fx.is_finite() {
         return Err(GpError::BadTrainingData(
@@ -489,21 +483,36 @@ mod tests {
     #[test]
     fn cached_and_naive_paths_agree_on_the_optimum() {
         let (xs, ys) = smooth_data(14, 0.05, 10);
-        let cached = fit_hyperparams(&xs, &ys, KernelFamily::Matern52, &FitOptions::default());
-        let naive_opts = FitOptions { use_cached_nlml: false, ..FitOptions::default() };
-        let naive = fit_hyperparams(&xs, &ys, KernelFamily::Matern52, &naive_opts);
-        let (c, n) = (cached.unwrap(), naive.unwrap());
+        let opts = FitOptions::default();
+        let family = KernelFamily::Matern52;
+        let c = fit_hyperparams(&xs, &ys, family, &opts).unwrap();
+        // The same multi-start search over the reference likelihood: the
+        // fit's LHC starts, seed and budget, with `nlml_naive` in place of
+        // `CachedNlml`.
+        let scaler = OutputScaler::fit(&ys);
+        let z: Vec<f64> = ys.iter().map(|&y| scaler.transform(y)).collect();
+        let mut ranges = vec![SampleRange::new(opts.log_signal_var.0, opts.log_signal_var.1)];
+        ranges.push(SampleRange::new(opts.log_lengthscale.0, opts.log_lengthscale.1));
+        ranges.push(SampleRange::new(opts.log_noise_var.0, opts.log_noise_var.1));
+        let n = multi_start_nelder_mead_with(
+            || |theta: &[f64]| nlml_naive(theta, &xs, &z, family, &opts),
+            &ranges,
+            opts.n_starts,
+            &[],
+            opts.seed,
+            &opts.nm,
+        );
         // Same starts, same optimiser; the likelihood surfaces differ by
         // rounding only, but an ulp-level difference can tip a simplex
         // comparison and let the two descents take slightly different
         // final steps — agreement is therefore bounded by the optimiser's
         // own convergence tolerance (x_tol = 1e-7), not by rounding.
-        for (a, b) in c.theta.iter().zip(&n.theta) {
-            assert!((a - b).abs() <= 1e-5, "theta {:?} vs {:?}", c.theta, n.theta);
+        for (a, b) in c.theta.iter().zip(&n.x) {
+            assert!((a - b).abs() <= 1e-5, "theta {:?} vs {:?}", c.theta, n.x);
         }
         // At the shared optimum the surface is flat, so the nlml values
         // agree far more tightly than the coordinates do.
-        assert!((c.nlml - n.nlml).abs() <= 1e-9 * c.nlml.abs().max(1.0));
+        assert!((c.nlml - n.fx).abs() <= 1e-9 * c.nlml.abs().max(1.0));
     }
 
     #[test]

@@ -9,13 +9,28 @@
 //! evaluation then assembles K with one multiply-add per (pair, dimension)
 //! plus one correlation evaluation per pair, instead of O(n²·d) full
 //! `kernel.eval` calls over both triangles.
+//!
+//! The correlations are computed in one pass over the whole pair vector by
+//! [`mlcd_linalg::fastpath::correlate`] and then copied into K's columns.
+//! Where the CPU supports it that pass is AVX2 code with an inlined `exp`
+//! that returns libm's bits, so K is the same either way.
 
 // lint: allow(hot-index, file) — plane assembly and kernel fill index by loop variables
 // bounded by the workspace's (n, dim, np) which are validated on rebuild; the blocked
 // accumulation loops rely on slice indexing for bounds-check elision.
 
 use crate::kernel::KernelFamily;
+use mlcd_linalg::fastpath::{correlate, Correlation};
 use mlcd_linalg::Mat;
+
+/// The `mlcd-linalg` correlation kernel that evaluates `family`.
+fn correlation_of(family: KernelFamily) -> Correlation {
+    match family {
+        KernelFamily::SquaredExp => Correlation::SquaredExp,
+        KernelFamily::Matern32 => Correlation::Matern32,
+        KernelFamily::Matern52 => Correlation::Matern52,
+    }
+}
 
 /// Cached per-dimension pairwise squared differences for a fixed input
 /// set.
@@ -133,10 +148,13 @@ impl DistanceWorkspace {
         let (n, dim) = (self.n, self.dim);
         assert_eq!(lengthscales.len(), dim, "fill_kernel: lengthscale count mismatch");
         let np = self.sq.len() / dim.max(1);
+        // `r2` holds the squared distances in its first half and their
+        // kernel entries in its second.
         r2.clear();
-        r2.resize(np, 0.0);
+        r2.resize(2 * np, 0.0);
+        let (acc, entries) = r2.split_at_mut(np);
         // Accumulate the scaled distances four dimension planes per pass
-        // over `r2`. Each element still receives its contributions one
+        // over `acc`. Each element still receives its contributions one
         // `d` at a time in ascending order, so the result is bit-identical
         // to the one-plane-at-a-time loop — the blocking only cuts memory
         // passes over the accumulator.
@@ -152,48 +170,39 @@ impl DistanceWorkspace {
             let (s1, rest) = rest.split_at(np);
             let (s2, s3) = rest.split_at(np);
             let lanes = s0.iter().zip(s1).zip(s2).zip(s3);
-            for (acc, (((&a0, &a1), &a2), &a3)) in r2.iter_mut().zip(lanes) {
-                let mut v = *acc;
+            for (a, (((&a0, &a1), &a2), &a3)) in acc.iter_mut().zip(lanes) {
+                let mut v = *a;
                 v += a0 * i0;
                 v += a1 * i1;
                 v += a2 * i2;
                 v += a3 * i3;
-                *acc = v;
+                *a = v;
             }
             d += 4;
         }
         for (d, &l) in lengthscales.iter().enumerate().skip(d) {
             let inv_l2 = 1.0 / (l * l);
             let sq_d = &self.sq[d * np..(d + 1) * np];
-            for (acc, &s) in r2.iter_mut().zip(sq_d) {
-                *acc += s * inv_l2;
+            for (a, &s) in acc.iter_mut().zip(sq_d) {
+                *a += s * inv_l2;
             }
         }
+        // Every pair's entry `sf2 · ρ(r)` in one pass over the pair vector
+        // (bit-identical to `sf2 * family.correlation(r2.sqrt())`, and to
+        // `sf2 * (-0.5 * r2).exp()` for the squared exponential, which
+        // needs no square root).
+        correlate(correlation_of(family), sf2, acc, entries);
         if k.rows() != n || k.cols() != n {
             *k = Mat::zeros(n, n);
         }
-        // Correlations into the strict lower triangle (contiguous per
-        // column thanks to the pair order), diagonal = sf2.
+        // Entries into the strict lower triangle (contiguous per column
+        // thanks to the pair order), diagonal = sf2.
         let mut p = 0;
         for j in 0..n {
             let col = k.col_mut(j);
             col[j] = sf2;
             let below = &mut col[j + 1..];
-            let r2_col = &r2[p..p + below.len()];
-            match family {
-                // For the squared exponential ρ(r) = exp(−½·r²), so the
-                // cached r² feeds exp directly — no square root needed.
-                KernelFamily::SquaredExp => {
-                    for (x, &r2v) in below.iter_mut().zip(r2_col) {
-                        *x = sf2 * (-0.5 * r2v).exp();
-                    }
-                }
-                _ => {
-                    for (x, &r2v) in below.iter_mut().zip(r2_col) {
-                        *x = sf2 * family.correlation(r2v.sqrt());
-                    }
-                }
-            }
+            below.copy_from_slice(&entries[p..p + below.len()]);
             p += below.len();
         }
         if mirror {

@@ -5,6 +5,11 @@
 //! searcher re-probes neighbouring deployments) are numerically
 //! semi-definite. [`Chol::factor_with_jitter`] retries with exponentially
 //! growing diagonal jitter, which is the standard GP-library remedy.
+//!
+//! The factorisation and the single right-hand-side forward solve are the
+//! hot loops of every GP likelihood evaluation. Callers reach them through
+//! [`crate::fastpath`], which runs their AVX2 compilation where the CPU
+//! supports it; both compilations produce the same bits.
 
 // lint: allow(hot-index, file) — factorisation kernels index columns by loop variables bounded
 // by the matrix order (i, j, k ≤ n checked on entry); replacing slice indexing with checked
@@ -69,7 +74,11 @@ pub struct Chol {
 /// The strictly upper triangle of `a` is never read; `out`'s is zeroed on
 /// success. Callers are responsible for rejecting non-square or
 /// non-finite input.
-fn factor_into(a: &Mat, jitter: f64, out: &mut Mat) -> Result<(), CholError> {
+///
+/// Callers go through [`crate::fastpath::factor_into`], which runs this
+/// body's AVX2 compilation where the fast path is on.
+#[inline(always)]
+pub(crate) fn factor_into(a: &Mat, jitter: f64, out: &mut Mat) -> Result<(), CholError> {
     let n = a.rows();
     debug_assert!(a.is_square());
     debug_assert_eq!((out.rows(), out.cols()), (n, n));
@@ -170,7 +179,7 @@ fn factor_with_jitter_into(
     for attempt in 0..=max_tries {
         let jitter =
             if attempt == 0 { 0.0 } else { base * diag_scale * 10f64.powi(attempt as i32 - 1) };
-        match factor_into(a, jitter, out) {
+        match crate::fastpath::factor_into(a, jitter, out) {
             Ok(()) => return Ok(jitter),
             Err(e) => last_err = e,
         }
@@ -181,8 +190,10 @@ fn factor_with_jitter_into(
 /// Forward substitution `L y = b`, overwriting `b` with `y`. The
 /// ascending elimination order matches the historical entry-indexed loop,
 /// so results are bit-identical to it (the slice zip just lets the update
-/// vectorise).
-fn solve_lower_in_place(l: &Mat, y: &mut [f64]) {
+/// vectorise). Single right-hand sides go through
+/// [`crate::fastpath::solve_lower_in_place`].
+#[inline(always)]
+pub(crate) fn solve_lower_in_place(l: &Mat, y: &mut [f64]) {
     let n = l.rows();
     for j in 0..n {
         let col = l.col(j);
@@ -296,7 +307,7 @@ impl Chol {
     pub fn solve_lower(&self, b: &[f64]) -> Vec<f64> {
         assert_eq!(b.len(), self.order(), "solve_lower: dimension mismatch");
         let mut y = b.to_vec();
-        solve_lower_in_place(&self.l, &mut y);
+        crate::fastpath::solve_lower_in_place(&self.l, &mut y);
         y
     }
 
@@ -468,7 +479,7 @@ impl CholWorkspace {
     /// Panics if `b.len()` differs from the factored order.
     pub fn solve_in_place(&self, b: &mut [f64]) {
         assert_eq!(b.len(), self.order(), "solve_in_place: dimension mismatch");
-        solve_lower_in_place(&self.l, b);
+        crate::fastpath::solve_lower_in_place(&self.l, b);
         solve_upper_in_place(&self.l, b);
     }
 
@@ -481,7 +492,7 @@ impl CholWorkspace {
     /// Panics if `b.len()` differs from the factored order.
     pub fn quad_form_in_place(&self, b: &mut [f64]) -> f64 {
         assert_eq!(b.len(), self.order(), "quad_form_in_place: dimension mismatch");
-        solve_lower_in_place(&self.l, b);
+        crate::fastpath::solve_lower_in_place(&self.l, b);
         b.iter().map(|v| v * v).sum()
     }
 }

@@ -1,0 +1,664 @@
+//! GP likelihood fast path: a bit-exact port of glibc's `exp` and AVX2
+//! compilations of the likelihood kernels, chosen once per process.
+//!
+//! Every marginal-likelihood evaluation of a GP fit fills a kernel matrix
+//! (one `exp` per pair of observations), factors it and runs one forward
+//! solve. This module holds the three kernels behind that evaluation —
+//! [`correlate`] (the kernel fill's `r² → sf2·ρ(r)` pass, and [`exp_into`]
+//! for the hyperparameters), the Cholesky factorisation and the forward
+//! substitution — each compiled twice from one source: once for the
+//! baseline target and once under `#[target_feature(enable = "avx2,fma")]`.
+//!
+//! # The `exp` port
+//!
+//! glibc (2.28 and later) evaluates `exp` with a fixed algorithm: reduce
+//! `x = k·ln2/128 + r`, look `2^(k/128)` up in a 128-entry table, and
+//! evaluate a degree-5 polynomial in `r`. On a CPU with FMA and AVX2 its
+//! ifunc selects the `__exp_fma` build, whose fused multiply-adds sit at
+//! fixed places. The port below reproduces that build step for step with
+//! explicit [`f64::mul_add`]s at exactly those places, so on the main
+//! range `2⁻⁵⁴ ≤ |x| < 512` it returns the same bits as [`f64::exp`]. The
+//! port is branch-free, so LLVM vectorises the fill's loop around it;
+//! inputs outside the main range (tiny, huge, NaN, ±∞) are recomputed by
+//! [`f64::exp`] in a second pass that runs only when such an input occurs.
+//!
+//! # Why the AVX2 copies are bit-identical
+//!
+//! Rust never contracts `a * b + c` into a fused multiply-add, and every
+//! IEEE-754 add, multiply, divide and square root rounds the same at any
+//! vector width, so a loop that LLVM vectorises with AVX2 produces the
+//! same bits as its scalar compilation. The port's `mul_add`s are the only
+//! fused operations, and they are fused in glibc too.
+//!
+//! # Dispatch
+//!
+//! The AVX2 copies run only on x86_64 Linux with glibc, only when the CPU
+//! reports both `fma` and `avx2` (the condition under which glibc's ifunc
+//! picks `__exp_fma`), and only when a one-time self-check passes: the
+//! port must equal [`f64::exp`] bit for bit on probes covering every table
+//! index and on inputs where glibc's result is not the correctly rounded
+//! one (so a correctly rounding libm fails the check). Everywhere else
+//! every kernel takes its baseline compilation with libm's `exp`, which is
+//! the same code the fast path replaces. [`fast_path_enabled`] reports the
+//! choice; it is made once and cached, and neither it nor the self-check
+//! allocates.
+
+// lint: allow(hot-index, file) — the one real index is the exp table lookup, `2·(ki & 127)`
+// and `+ 1`, masked into 0..=255 for the 256-entry table and so in bounds by construction;
+// LLVM proves the same and drops the check, which keeps the correlation loop vectorisable.
+// The rule's other hits here are slice types after `mut` and array literals after `in`.
+
+use crate::chol::{self, CholError};
+use crate::mat::Mat;
+
+/// The stationary correlation `ρ` that [`correlate`] applies to a squared
+/// scaled distance `r²`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Correlation {
+    /// Squared exponential, `ρ = exp(−½·r²)` (evaluated from `r²` directly,
+    /// without a square root).
+    SquaredExp,
+    /// Matérn ν = 3/2, `ρ = (1 + s)·exp(−s)` with `s = √3·r`.
+    Matern32,
+    /// Matérn ν = 5/2, `ρ = (1 + s + s²/3)·exp(−s)` with `s = √5·r`.
+    Matern52,
+}
+
+/// Whether this process runs the AVX2 kernels with the inlined `exp`
+/// (decided once, on first use; see the module docs for the condition).
+pub fn fast_path_enabled() -> bool {
+    #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+    {
+        static FAST: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        *FAST.get_or_init(avx2::detect)
+    }
+    #[cfg(not(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu")))]
+    {
+        false
+    }
+}
+
+/// `out[i] = exp(x[i])`, bit-identical to [`f64::exp`] on every input.
+///
+/// # Panics
+/// Panics if the slices differ in length.
+pub fn exp_into(x: &[f64], out: &mut [f64]) {
+    assert_eq!(x.len(), out.len(), "exp_into: length mismatch");
+    #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+    if fast_path_enabled() {
+        // SAFETY: `fast_path_enabled` is true only after `is_x86_feature_detected!`
+        // reported both `avx2` and `fma` on this CPU.
+        return unsafe { avx2::exp_into(x, out) };
+    }
+    map_exp::<Libm>(x, out, |v| (v, 1.0), 1.0);
+}
+
+/// `out[p] = sf2 · ρ(√r2[p])` for the given correlation family: the kernel
+/// fill's per-pair pass over a whole vector of squared scaled distances.
+///
+/// Bit-identical to the scalar expression `sf2 * ((1 + s + s*s/3) *
+/// (-s).exp())` (and its Matérn-3/2 and squared-exponential analogues) on
+/// every input.
+///
+/// # Panics
+/// Panics if the slices differ in length.
+pub fn correlate(kind: Correlation, sf2: f64, r2: &[f64], out: &mut [f64]) {
+    assert_eq!(r2.len(), out.len(), "correlate: length mismatch");
+    #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+    if fast_path_enabled() {
+        // SAFETY: `fast_path_enabled` is true only after `is_x86_feature_detected!`
+        // reported both `avx2` and `fma` on this CPU.
+        return unsafe { avx2::correlate(kind, sf2, r2, out) };
+    }
+    correlate_body::<Libm>(kind, sf2, r2, out);
+}
+
+/// [`chol::factor_into`] through the dispatch.
+pub(crate) fn factor_into(a: &Mat, jitter: f64, out: &mut Mat) -> Result<(), CholError> {
+    #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+    if fast_path_enabled() {
+        // SAFETY: `fast_path_enabled` is true only after `is_x86_feature_detected!`
+        // reported both `avx2` and `fma` on this CPU.
+        return unsafe { avx2::factor_into(a, jitter, out) };
+    }
+    chol::factor_into(a, jitter, out)
+}
+
+/// [`chol::solve_lower_in_place`] through the dispatch.
+pub(crate) fn solve_lower_in_place(l: &Mat, y: &mut [f64]) {
+    #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+    if fast_path_enabled() {
+        // SAFETY: `fast_path_enabled` is true only after `is_x86_feature_detected!`
+        // reported both `avx2` and `fma` on this CPU.
+        return unsafe { avx2::solve_lower_in_place(l, y) };
+    }
+    chol::solve_lower_in_place(l, y)
+}
+
+/// An `exp` for [`map_exp`]: exact wherever `covers` holds, unspecified
+/// (but harmless) elsewhere.
+trait Exp {
+    fn exp(x: f64) -> f64;
+    fn covers(x: f64) -> bool;
+}
+
+/// libm's `exp`, exact everywhere: the baseline compilation.
+struct Libm;
+
+impl Exp for Libm {
+    #[inline(always)]
+    fn exp(x: f64) -> f64 {
+        x.exp()
+    }
+
+    #[inline(always)]
+    fn covers(_: f64) -> bool {
+        true
+    }
+}
+
+/// `out[i] = scale · (poly · exp(x))` with `(x, poly) = arg(src[i])`.
+///
+/// The first pass is branch-free so that it vectorises when `E` is the
+/// port; lanes `E` does not cover are then recomputed with [`f64::exp`].
+/// With [`Libm`] the second pass is dead and compiles away.
+#[inline(always)]
+fn map_exp<E: Exp>(src: &[f64], out: &mut [f64], arg: impl Fn(f64) -> (f64, f64), scale: f64) {
+    let mut covered = true;
+    for (o, &v) in out.iter_mut().zip(src) {
+        let (x, poly) = arg(v);
+        covered &= E::covers(x);
+        *o = scale * (poly * E::exp(x));
+    }
+    if !covered {
+        for (o, &v) in out.iter_mut().zip(src) {
+            let (x, poly) = arg(v);
+            if !E::covers(x) {
+                *o = scale * (poly * x.exp());
+            }
+        }
+    }
+}
+
+/// [`correlate`]'s body. Each family's expression is the kernel fill's
+/// historical one — `mlcd-gp`'s `KernelFamily::correlation` of `√r²`, or
+/// `exp(−½·r²)` for the squared exponential — operation for operation (a
+/// factor of `1.0` is exact), so the results are bit-identical to it.
+#[inline(always)]
+fn correlate_body<E: Exp>(kind: Correlation, sf2: f64, r2: &[f64], out: &mut [f64]) {
+    match kind {
+        Correlation::SquaredExp => map_exp::<E>(r2, out, |v| (-0.5 * v, 1.0), sf2),
+        Correlation::Matern32 => {
+            let c = 3.0_f64.sqrt();
+            let arg = |v: f64| {
+                let s = c * v.sqrt();
+                (-s, 1.0 + s)
+            };
+            map_exp::<E>(r2, out, arg, sf2)
+        }
+        Correlation::Matern52 => {
+            let c = 5.0_f64.sqrt();
+            let arg = |v: f64| {
+                let s = c * v.sqrt();
+                (-s, 1.0 + s + s * s / 3.0)
+            };
+            map_exp::<E>(r2, out, arg, sf2)
+        }
+    }
+}
+
+/// glibc's `exp` main path, ported from its `__exp_fma` build.
+#[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+mod port {
+    /// `128 / ln 2`.
+    const INV_LN2_N: f64 = f64::from_bits(0x4067_1547_652b_82fe);
+    /// `1.5 · 2⁵²`: adding it rounds to an integer held in the low mantissa bits.
+    const SHIFT: f64 = f64::from_bits(0x4338_0000_0000_0000);
+    /// `−ln 2 / 128`, high part (trailing zero bits make `k · hi` exact).
+    const NEG_LN2_HI_N: f64 = f64::from_bits(0xbf76_2e42_fefa_0000);
+    /// `−ln 2 / 128`, low part.
+    const NEG_LN2_LO_N: f64 = f64::from_bits(0xbd0c_f79a_bc9e_3b3a);
+    /// Polynomial coefficients for `exp(r) − 1 − r`.
+    const C2: f64 = f64::from_bits(0x3fdf_ffff_ffff_fdbd);
+    const C3: f64 = f64::from_bits(0x3fc5_5555_5555_543c);
+    const C4: f64 = f64::from_bits(0x3fa5_5555_cf17_2b91);
+    const C5: f64 = f64::from_bits(0x3f81_1111_67a4_d017);
+
+    /// glibc's `__exp_data.tab`: with `H_k = RN(2^(k/128))` and
+    /// `T_k = RN(2^(k/128) / H_k − 1)`, entry `2k` is `bits(T_k)` and entry
+    /// `2k + 1` is `bits(H_k) − (k << 45)`, so that adding `ki << 45`
+    /// restores `H_k`'s exponent scaled by `2^⌊k/128⌋`.
+    #[rustfmt::skip]
+    static TAB: [u64; 256] = [
+        0x0000000000000000, 0x3ff0000000000000, 0x3c9b3b4f1a88bf6e, 0x3feff63da9fb3335,
+        0xbc7160139cd8dc5d, 0x3fefec9a3e778061, 0xbc905e7a108766d1, 0x3fefe315e86e7f85,
+        0x3c8cd2523567f613, 0x3fefd9b0d3158574, 0xbc8bce8023f98efa, 0x3fefd06b29ddf6de,
+        0x3c60f74e61e6c861, 0x3fefc74518759bc8, 0x3c90a3e45b33d399, 0x3fefbe3ecac6f383,
+        0x3c979aa65d837b6d, 0x3fefb5586cf9890f, 0x3c8eb51a92fdeffc, 0x3fefac922b7247f7,
+        0x3c3ebe3d702f9cd1, 0x3fefa3ec32d3d1a2, 0xbc6a033489906e0b, 0x3fef9b66affed31b,
+        0xbc9556522a2fbd0e, 0x3fef9301d0125b51, 0xbc5080ef8c4eea55, 0x3fef8abdc06c31cc,
+        0xbc91c923b9d5f416, 0x3fef829aaea92de0, 0x3c80d3e3e95c55af, 0x3fef7a98c8a58e51,
+        0xbc801b15eaa59348, 0x3fef72b83c7d517b, 0xbc8f1ff055de323d, 0x3fef6af9388c8dea,
+        0x3c8b898c3f1353bf, 0x3fef635beb6fcb75, 0xbc96d99c7611eb26, 0x3fef5be084045cd4,
+        0x3c9aecf73e3a2f60, 0x3fef54873168b9aa, 0xbc8fe782cb86389d, 0x3fef4d5022fcd91d,
+        0x3c8a6f4144a6c38d, 0x3fef463b88628cd6, 0x3c807a05b0e4047d, 0x3fef3f49917ddc96,
+        0x3c968efde3a8a894, 0x3fef387a6e756238, 0x3c875e18f274487d, 0x3fef31ce4fb2a63f,
+        0x3c80472b981fe7f2, 0x3fef2b4565e27cdd, 0xbc96b87b3f71085e, 0x3fef24dfe1f56381,
+        0x3c82f7e16d09ab31, 0x3fef1e9df51fdee1, 0xbc3d219b1a6fbffa, 0x3fef187fd0dad990,
+        0x3c8b3782720c0ab4, 0x3fef1285a6e4030b, 0x3c6e149289cecb8f, 0x3fef0cafa93e2f56,
+        0x3c834d754db0abb6, 0x3fef06fe0a31b715, 0x3c864201e2ac744c, 0x3fef0170fc4cd831,
+        0x3c8fdd395dd3f84a, 0x3feefc08b26416ff, 0xbc86a3803b8e5b04, 0x3feef6c55f929ff1,
+        0xbc924aedcc4b5068, 0x3feef1a7373aa9cb, 0xbc9907f81b512d8e, 0x3feeecae6d05d866,
+        0xbc71d1e83e9436d2, 0x3feee7db34e59ff7, 0xbc991919b3ce1b15, 0x3feee32dc313a8e5,
+        0x3c859f48a72a4c6d, 0x3feedea64c123422, 0xbc9312607a28698a, 0x3feeda4504ac801c,
+        0xbc58a78f4817895b, 0x3feed60a21f72e2a, 0xbc7c2c9b67499a1b, 0x3feed1f5d950a897,
+        0x3c4363ed60c2ac11, 0x3feece086061892d, 0x3c9666093b0664ef, 0x3feeca41ed1d0057,
+        0x3c6ecce1daa10379, 0x3feec6a2b5c13cd0, 0x3c93ff8e3f0f1230, 0x3feec32af0d7d3de,
+        0x3c7690cebb7aafb0, 0x3feebfdad5362a27, 0x3c931dbdeb54e077, 0x3feebcb299fddd0d,
+        0xbc8f94340071a38e, 0x3feeb9b2769d2ca7, 0xbc87deccdc93a349, 0x3feeb6daa2cf6642,
+        0xbc78dec6bd0f385f, 0x3feeb42b569d4f82, 0xbc861246ec7b5cf6, 0x3feeb1a4ca5d920f,
+        0x3c93350518fdd78e, 0x3feeaf4736b527da, 0x3c7b98b72f8a9b05, 0x3feead12d497c7fd,
+        0x3c9063e1e21c5409, 0x3feeab07dd485429, 0x3c34c7855019c6ea, 0x3feea9268a5946b7,
+        0x3c9432e62b64c035, 0x3feea76f15ad2148, 0xbc8ce44a6199769f, 0x3feea5e1b976dc09,
+        0xbc8c33c53bef4da8, 0x3feea47eb03a5585, 0xbc845378892be9ae, 0x3feea34634ccc320,
+        0xbc93cedd78565858, 0x3feea23882552225, 0x3c5710aa807e1964, 0x3feea155d44ca973,
+        0xbc93b3efbf5e2228, 0x3feea09e667f3bcd, 0xbc6a12ad8734b982, 0x3feea012750bdabf,
+        0xbc6367efb86da9ee, 0x3fee9fb23c651a2f, 0xbc80dc3d54e08851, 0x3fee9f7df9519484,
+        0xbc781f647e5a3ecf, 0x3fee9f75e8ec5f74, 0xbc86ee4ac08b7db0, 0x3fee9f9a48a58174,
+        0xbc8619321e55e68a, 0x3fee9feb564267c9, 0x3c909ccb5e09d4d3, 0x3feea0694fde5d3f,
+        0xbc7b32dcb94da51d, 0x3feea11473eb0187, 0x3c94ecfd5467c06b, 0x3feea1ed0130c132,
+        0x3c65ebe1abd66c55, 0x3feea2f336cf4e62, 0xbc88a1c52fb3cf42, 0x3feea427543e1a12,
+        0xbc9369b6f13b3734, 0x3feea589994cce13, 0xbc805e843a19ff1e, 0x3feea71a4623c7ad,
+        0xbc94d450d872576e, 0x3feea8d99b4492ed, 0x3c90ad675b0e8a00, 0x3feeaac7d98a6699,
+        0x3c8db72fc1f0eab4, 0x3feeace5422aa0db, 0xbc65b6609cc5e7ff, 0x3feeaf3216b5448c,
+        0x3c7bf68359f35f44, 0x3feeb1ae99157736, 0xbc93091fa71e3d83, 0x3feeb45b0b91ffc6,
+        0xbc5da9b88b6c1e29, 0x3feeb737b0cdc5e5, 0xbc6c23f97c90b959, 0x3feeba44cbc8520f,
+        0xbc92434322f4f9aa, 0x3feebd829fde4e50, 0xbc85ca6cd7668e4b, 0x3feec0f170ca07ba,
+        0x3c71affc2b91ce27, 0x3feec49182a3f090, 0x3c6dd235e10a73bb, 0x3feec86319e32323,
+        0xbc87c50422622263, 0x3feecc667b5de565, 0x3c8b1c86e3e231d5, 0x3feed09bec4a2d33,
+        0xbc91bbd1d3bcbb15, 0x3feed503b23e255d, 0x3c90cc319cee31d2, 0x3feed99e1330b358,
+        0x3c8469846e735ab3, 0x3feede6b5579fdbf, 0xbc82dfcd978e9db4, 0x3feee36bbfd3f37a,
+        0x3c8c1a7792cb3387, 0x3feee89f995ad3ad, 0xbc907b8f4ad1d9fa, 0x3feeee07298db666,
+        0xbc55c3d956dcaeba, 0x3feef3a2b84f15fb, 0xbc90a40e3da6f640, 0x3feef9728de5593a,
+        0xbc68d6f438ad9334, 0x3feeff76f2fb5e47, 0xbc91eee26b588a35, 0x3fef05b030a1064a,
+        0x3c74ffd70a5fddcd, 0x3fef0c1e904bc1d2, 0xbc91bdfbfa9298ac, 0x3fef12c25bd71e09,
+        0x3c736eae30af0cb3, 0x3fef199bdd85529c, 0x3c8ee3325c9ffd94, 0x3fef20ab5fffd07a,
+        0x3c84e08fd10959ac, 0x3fef27f12e57d14b, 0x3c63cdaf384e1a67, 0x3fef2f6d9406e7b5,
+        0x3c676b2c6c921968, 0x3fef3720dcef9069, 0xbc808a1883ccb5d2, 0x3fef3f0b555dc3fa,
+        0xbc8fad5d3ffffa6f, 0x3fef472d4a07897c, 0xbc900dae3875a949, 0x3fef4f87080d89f2,
+        0x3c74a385a63d07a7, 0x3fef5818dcfba487, 0xbc82919e2040220f, 0x3fef60e316c98398,
+        0x3c8e5a50d5c192ac, 0x3fef69e603db3285, 0x3c843a59ac016b4b, 0x3fef7321f301b460,
+        0xbc82d52107b43e1f, 0x3fef7c97337b9b5f, 0xbc892ab93b470dc9, 0x3fef864614f5a129,
+        0x3c74b604603a88d3, 0x3fef902ee78b3ff6, 0x3c83c5ec519d7271, 0x3fef9a51fbc74c83,
+        0xbc8ff7128fd391f0, 0x3fefa4afa2a490da, 0xbc8dae98e223747d, 0x3fefaf482d8e67f1,
+        0x3c8ec3bc41aa2008, 0x3fefba1bee615a27, 0x3c842b94c3a9eb32, 0x3fefc52b376bba97,
+        0x3c8a64a931d185ee, 0x3fefd0765b6e4540, 0xbc8e37bae43be3ed, 0x3fefdbfdad9cbe14,
+        0x3c77893b4d91cd9d, 0x3fefe7c1819e90d8, 0x3c5305c14160cc89, 0x3feff3c22b8f71f1,
+    ];
+
+    /// Whether `x` is on the main path: `2⁻⁵⁴ ≤ |x| < 512`.
+    #[inline(always)]
+    pub(super) fn covers(x: f64) -> bool {
+        let abstop = (x.to_bits() >> 52) & 0x7ff;
+        abstop.wrapping_sub(0x3c9) < 0x408 - 0x3c9
+    }
+
+    /// `exp(x)` for `x` on the main path, with glibc's `__exp_fma` rounding.
+    /// Off the main path the result is meaningless (but computed without
+    /// panicking). Only call this from a function compiled with `fma`:
+    /// elsewhere each `mul_add` becomes a libm call.
+    #[inline(always)]
+    pub(super) fn exp(x: f64) -> f64 {
+        // x = k·ln2/128 + r with |r| ≤ ln2/256; `ki` holds k in its low bits.
+        let kd = x.mul_add(INV_LN2_N, SHIFT);
+        let ki = kd.to_bits();
+        let kd = kd - SHIFT;
+        let r = kd.mul_add(NEG_LN2_LO_N, kd.mul_add(NEG_LN2_HI_N, x));
+        // 2^(k/128) = scale · (1 + tail).
+        let idx = 2 * (ki & 127) as usize;
+        let tail = f64::from_bits(TAB[idx]);
+        let sbits = TAB[idx + 1].wrapping_add(ki << 45);
+        let r2 = r * r;
+        let tmp = (r2 * r2).mul_add(r.mul_add(C5, C4), r2.mul_add(r.mul_add(C3, C2), tail + r));
+        let scale = f64::from_bits(sbits);
+        scale.mul_add(tmp, scale)
+    }
+
+    /// The port as an [`Exp`](super::Exp) for the featured instantiations.
+    pub(super) struct Port;
+
+    impl super::Exp for Port {
+        #[inline(always)]
+        fn exp(x: f64) -> f64 {
+            exp(x)
+        }
+
+        #[inline(always)]
+        fn covers(x: f64) -> bool {
+            covers(x)
+        }
+    }
+}
+
+/// The AVX2 + FMA compilations and the one-time detection.
+#[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+mod avx2 {
+    use super::port::{self, Port};
+    use super::{chol, correlate_body, map_exp, CholError, Correlation, Mat};
+
+    /// Inputs where glibc's `exp` is not correctly rounded: a libm that
+    /// rounds correctly (glibc before 2.28, or another libm) disagrees with
+    /// the port on them and fails the self-check.
+    const MISROUNDED: [u64; 6] = [
+        0x4042_4ebd_d6c4_d0de, // 36.615…
+        0xc043_7c27_3e71_c13b, // −38.969…
+        0xc022_8496_a27b_c3dc, // −9.258…
+        0xc011_8407_e751_1cd8, // −4.378…
+        0x402c_bc46_07a1_4e2c, // 14.367…
+        0xc03a_6454_8684_1297, // −26.391…
+    ];
+
+    /// CPU check, then the self-check. Runs once per process.
+    pub(super) fn detect() -> bool {
+        if !(is_x86_feature_detected!("fma") && is_x86_feature_detected!("avx2")) {
+            return false;
+        }
+        // SAFETY: both target features were detected just above.
+        unsafe { self_check() }
+    }
+
+    /// The port must equal [`f64::exp`] bit for bit on probes that hit
+    /// every table index at several exponents, and on [`MISROUNDED`].
+    #[target_feature(enable = "avx2,fma")]
+    fn self_check() -> bool {
+        let step = std::f64::consts::LN_2 / 128.0;
+        let mut ok = true;
+        for k in 0..128i32 {
+            for m in [-600i32, -7, 0, 1, 600] {
+                // Rounds to the table step 128·m + k, so `ki & 127 == k`.
+                let x = (f64::from(128 * m + k) + 0.3) * step;
+                ok &= probe(x);
+            }
+        }
+        for bits in MISROUNDED {
+            ok &= probe(f64::from_bits(bits));
+        }
+        ok
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    fn probe(x: f64) -> bool {
+        let x = std::hint::black_box(x);
+        port::covers(x) && port::exp(x).to_bits() == x.exp().to_bits()
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn exp_into(x: &[f64], out: &mut [f64]) {
+        map_exp::<Port>(x, out, |v| (v, 1.0), 1.0);
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn correlate(kind: Correlation, sf2: f64, r2: &[f64], out: &mut [f64]) {
+        correlate_body::<Port>(kind, sf2, r2, out);
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn factor_into(a: &Mat, jitter: f64, out: &mut Mat) -> Result<(), CholError> {
+        chol::factor_into(a, jitter, out)
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn solve_lower_in_place(l: &Mat, y: &mut [f64]) {
+        chol::solve_lower_in_place(l, y)
+    }
+}
+
+#[cfg(test)]
+#[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+mod tests {
+    use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Whether this CPU can run the featured copies at all.
+    fn featured() -> bool {
+        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    fn port_exp(x: f64) -> f64 {
+        port::exp(x)
+    }
+
+    fn raw_port(x: f64) -> f64 {
+        assert!(featured());
+        // SAFETY: callers skip the test unless both features are present.
+        unsafe { port_exp(x) }
+    }
+
+    fn assert_same_bits(got: f64, want: f64, what: &str) {
+        if want.is_nan() {
+            assert!(got.is_nan(), "{what}: {got:e} vs NaN");
+        } else {
+            assert_eq!(got.to_bits(), want.to_bits(), "{what}: {got:e} vs {want:e}");
+        }
+    }
+
+    /// `exp_into` on one value.
+    fn exp1(x: f64) -> f64 {
+        let mut out = [0.0];
+        exp_into(&[x], &mut out);
+        out[0]
+    }
+
+    #[test]
+    fn fast_path_is_selected_on_glibc_hosts_with_avx2_and_fma() {
+        // A failing self-check would silently leave every fit on the
+        // baseline kernels; on a host where glibc's ifunc picks
+        // `__exp_fma` that is a bug, not a fallback.
+        if featured() {
+            assert!(fast_path_enabled(), "avx2+fma glibc host did not select the fast path");
+        }
+        assert_eq!(fast_path_enabled(), fast_path_enabled(), "the choice is cached");
+    }
+
+    #[test]
+    fn port_matches_libm_on_every_table_index() {
+        if !featured() {
+            return;
+        }
+        let step = std::f64::consts::LN_2 / 128.0;
+        for k in 0..128i32 {
+            for m in [-738i32, -300, -1, 0, 2, 300, 738] {
+                for frac in [-0.49, -0.25, 0.0, 0.125, 0.4999] {
+                    let x = (f64::from(128 * m + k) + frac) * step;
+                    if !port::covers(x) {
+                        continue;
+                    }
+                    assert_same_bits(raw_port(x), x.exp(), &format!("x = {x:e} (index {k})"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn port_matches_libm_on_random_main_range_inputs() {
+        if !featured() {
+            return;
+        }
+        let mut rng = SmallRng::seed_from_u64(0xe4b);
+        for i in 0..1_000_000 {
+            // Alternate uniform draws with log-uniform magnitudes so the
+            // small-|x| end of the main range is exercised too.
+            let x = if i % 2 == 0 {
+                rng.gen_range(-511.99..511.99)
+            } else {
+                let mag = rng.gen_range(-37.0f64..9.0).exp2();
+                if rng.gen::<bool>() {
+                    mag
+                } else {
+                    -mag
+                }
+            };
+            if port::covers(x) {
+                assert_same_bits(raw_port(x), x.exp(), &format!("x = {x:e}"));
+            }
+        }
+    }
+
+    #[test]
+    fn exp_into_matches_libm_at_the_edges_of_the_main_range() {
+        let tiny = 2f64.powi(-54);
+        let edges = [
+            tiny,
+            -tiny,
+            512.0,
+            -512.0,
+            709.78,
+            709.782_712_893_384,
+            -745.13,
+            -745.133_219_101_941_1,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            1e-300,
+            -1e-300,
+            1000.0,
+            -1000.0,
+        ];
+        for e in edges {
+            for x in [e, e.next_up(), e.next_down()] {
+                assert_same_bits(exp1(x), x.exp(), &format!("x = {x:e}"));
+            }
+        }
+    }
+
+    #[test]
+    fn exp_into_matches_libm_on_random_inputs() {
+        let mut rng = SmallRng::seed_from_u64(0x5eed);
+        let mut xs = vec![0.0; 1000];
+        let mut out = vec![0.0; 1000];
+        for _ in 0..1000 {
+            for x in &mut xs {
+                *x = rng.gen_range(-745.0..710.0);
+            }
+            exp_into(&xs, &mut out);
+            for (&x, &y) in xs.iter().zip(&out) {
+                assert_same_bits(y, x.exp(), &format!("x = {x:e}"));
+            }
+        }
+    }
+
+    /// Squared distances spanning duplicates (r² = 0), the main range and
+    /// far pairs whose `exp` argument falls past −512.
+    fn random_r2(rng: &mut SmallRng, n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| match i % 7 {
+                0 => 0.0,
+                1 => rng.gen_range(0.0..1e-30),
+                2 => rng.gen_range(1e5..1e7),
+                _ => rng.gen_range(0.0..60.0),
+            })
+            .collect()
+    }
+
+    /// The per-family expression `KernelFamily::correlation` evaluates.
+    fn scalar_entry(kind: Correlation, sf2: f64, r2: f64) -> f64 {
+        match kind {
+            Correlation::SquaredExp => sf2 * (-0.5 * r2).exp(),
+            Correlation::Matern32 => {
+                let s = 3.0_f64.sqrt() * r2.sqrt();
+                sf2 * ((1.0 + s) * (-s).exp())
+            }
+            Correlation::Matern52 => {
+                let s = 5.0_f64.sqrt() * r2.sqrt();
+                sf2 * ((1.0 + s + s * s / 3.0) * (-s).exp())
+            }
+        }
+    }
+
+    #[test]
+    fn correlate_matches_the_scalar_kernel_for_every_family() {
+        let mut rng = SmallRng::seed_from_u64(17);
+        for kind in [Correlation::SquaredExp, Correlation::Matern32, Correlation::Matern52] {
+            for n in [0usize, 1, 3, 4, 7, 45, 1000] {
+                let r2 = random_r2(&mut rng, n);
+                let sf2 = rng.gen_range(0.05..20.0);
+                let mut out = vec![f64::NAN; n];
+                correlate(kind, sf2, &r2, &mut out);
+                let mut base = vec![f64::NAN; n];
+                correlate_body::<Libm>(kind, sf2, &r2, &mut base);
+                for ((&v, &got), &b) in r2.iter().zip(&out).zip(&base) {
+                    let want = scalar_entry(kind, sf2, v);
+                    assert_same_bits(got, want, &format!("{kind:?} r2 = {v:e}"));
+                    assert_same_bits(b, want, &format!("{kind:?} baseline r2 = {v:e}"));
+                }
+            }
+        }
+    }
+
+    /// A seeded SPD matrix `B Bᵀ + shift·I`; `rank < n` with a tiny shift
+    /// gives a near-singular one that needs jitter.
+    fn seeded_gram(rng: &mut SmallRng, n: usize, rank: usize, shift: f64) -> Mat {
+        let b = Mat::from_fn(n, rank, |_, _| rng.gen_range(-1.0..1.0));
+        let mut a = b.matmul(&b.transpose());
+        a.add_diag(shift);
+        a
+    }
+
+    /// Runs the jitter-escalation sequence through the baseline body and
+    /// the AVX2 copy side by side; every attempt must agree bit for bit.
+    fn assert_factor_copies_agree(a: &Mat, what: &str) {
+        let n = a.rows();
+        let (mut scalar, mut fast) = (Mat::zeros(n, n), Mat::zeros(n, n));
+        for attempt in 0..8 {
+            let jitter = if attempt == 0 { 0.0 } else { 1e-12 * 10f64.powi(attempt - 1) };
+            let s = chol::factor_into(a, jitter, &mut scalar);
+            // SAFETY: callers skip the test unless both features are present.
+            let f = unsafe { avx2::factor_into(a, jitter, &mut fast) };
+            assert_eq!(format!("{s:?}"), format!("{f:?}"), "{what}, jitter {jitter:e}");
+            for (x, y) in scalar.as_slice().iter().zip(fast.as_slice()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{what}, jitter {jitter:e}");
+            }
+            if s.is_ok() {
+                let mut rng = SmallRng::seed_from_u64(n as u64);
+                let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-3.0..3.0)).collect();
+                let (mut ys, mut yf) = (b.clone(), b);
+                chol::solve_lower_in_place(&scalar, &mut ys);
+                // SAFETY: as above.
+                unsafe { avx2::solve_lower_in_place(&fast, &mut yf) };
+                for (x, y) in ys.iter().zip(&yf) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{what}: forward solve");
+                }
+                return;
+            }
+        }
+    }
+
+    #[test]
+    fn avx2_cholesky_matches_the_scalar_body_bitwise() {
+        if !featured() {
+            return;
+        }
+        let mut rng = SmallRng::seed_from_u64(23);
+        for n in [1usize, 2, 3, 4, 5, 8, 9, 13, 17, 31, 40, 64] {
+            let spd = seeded_gram(&mut rng, n, n, 0.5);
+            assert_factor_copies_agree(&spd, &format!("SPD n = {n}"));
+            // Rank-deficient plus a vanishing shift: fails at jitter 0 and
+            // succeeds only after some escalation.
+            let near = seeded_gram(&mut rng, n, (n / 2).max(1), 1e-15);
+            assert_factor_copies_agree(&near, &format!("near-singular n = {n}"));
+        }
+        // Indefinite: every attempt fails, with the same pivot and value.
+        let mut bad = seeded_gram(&mut rng, 6, 6, 0.1);
+        bad[(4, 4)] = -3.0;
+        assert_factor_copies_agree(&bad, "indefinite");
+        let mut out = Mat::zeros(6, 6);
+        // SAFETY: the features were checked at the top of the test.
+        let err = unsafe { avx2::factor_into(&bad, 0.0, &mut out) };
+        assert!(matches!(err, Err(CholError::NotPositiveDefinite { .. })), "{err:?}");
+    }
+}

@@ -257,6 +257,7 @@ const HOT_PATHS: &[&str] = &[
     "crates/gp/src/fit.rs",
     "crates/gp/src/workspace.rs",
     "crates/linalg/src/chol.rs",
+    "crates/linalg/src/fastpath.rs",
     "crates/linalg/src/mat.rs",
 ];
 
