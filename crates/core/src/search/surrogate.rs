@@ -51,9 +51,9 @@ pub struct Surrogate {
     /// Log-space optimum of the last full hyperparameter fit; carried
     /// through incremental extensions so the next refit can warm-start.
     theta: Vec<f64>,
-    /// Distance-plane buffers carried across refits so a warm-started
-    /// refit reuses the previous allocation instead of growing a fresh
-    /// [`mlcd_gp::DistanceWorkspace`] each step.
+    /// Fit buffers carried across refits (distance planes, lockstep
+    /// groups and lane buffers), so a refit reuses the previous allocation
+    /// instead of growing fresh ones each step.
     scratch: FitScratch,
 }
 
@@ -184,6 +184,12 @@ impl Surrogate {
     /// Number of observations the surrogate was fitted on.
     pub fn n_obs(&self) -> usize {
         self.gp.n_obs()
+    }
+
+    /// The fit buffers carried across refits, with the work counters of
+    /// every fit run through them.
+    pub fn fit_scratch(&self) -> &FitScratch {
+        &self.scratch
     }
 }
 

@@ -2,22 +2,34 @@
 //!
 //! Hyperparameters θ = (log σ_f², log ℓ₁…log ℓ_d, log σ_n²) are fitted by
 //! minimising the negative log marginal likelihood of the *standardised*
-//! targets with multi-start Nelder–Mead (starts drawn by Latin hypercube,
-//! local searches run in parallel by `mlcd-linalg` on the process-wide
-//! `rayon` helper pool). A fit spawns no thread, so refitting at every
-//! search step costs only the wake-up of parked helpers.
+//! targets with multi-start Nelder–Mead (starts drawn by Latin hypercube).
 //!
 //! Working in log-space keeps every parameter positive without constrained
 //! optimisation; the search ranges below assume inputs roughly in the unit
 //! cube and standardised targets, which [`crate::scale`] provides.
 //!
-//! Every evaluation goes through [`CachedNlml`], which allocates nothing
-//! once warm (`tests/zero_alloc_nlml.rs` pins this). Its `exp` calls, the
-//! kernel fill's correlation pass, the factorisation and the forward solve
-//! run on `mlcd_linalg::fastpath`: AVX2 code with an inlined `exp` where
-//! the CPU supports it, and bit-identical to the baseline compilation, so
-//! the fitted θ does not depend on which one runs. [`nlml_naive`] is the
-//! reference the property tests hold it to.
+//! # Four starts at a time
+//!
+//! The starts of one fit share the observations and differ only in θ, so
+//! they run in lockstep groups of [`LANES`] (`mlcd_linalg::LaneGroup`):
+//! each round, every live start submits its next θ. A θ outside the soft
+//! walls is answered `+∞` at once, without taking a lane, and that start
+//! moves on to its next point; the remaining θ go through one
+//! [`Likelihood`] evaluation, which runs `mlcd_linalg::fastpath`'s lane
+//! kernel (AVX2 code with an inlined `exp` where the CPU supports it, and
+//! bit-identical to the baseline compilation). Each lane performs a
+//! one-θ evaluation's operations in its order, and each start only sees
+//! its own values, so every start's trajectory, and the fitted θ, are the
+//! same as running the starts one by one. The groups (two for the default
+//! eight starts) fan out over the process-wide `rayon` helper pool and the
+//! best is taken in start order, so fits are bit-identical at any thread
+//! count. A fit spawns no thread.
+//!
+//! Each group's lane buffers live in [`FitScratch`], which a search keeps
+//! across refits, so a warm refit allocates nothing per group or per round
+//! (`tests/zero_alloc_nlml.rs` pins this). [`FitScratch::counters`] counts
+//! the work: fits, starts, evaluations, wall answers and lane batches.
+//! [`nlml_naive`] is the reference the property tests hold the lanes to.
 
 // lint: allow(hot-index, file) — the θ vector layout [log σ_f², log ℓ₁…ℓ_d, log σ_n²] has
 // fixed length d+2, established by the SampleRange construction and debug-asserted at every
@@ -27,10 +39,12 @@ use crate::kernel::{ArdKernel, KernelFamily};
 use crate::model::GpError;
 use crate::scale::OutputScaler;
 use crate::workspace::DistanceWorkspace;
-use mlcd_linalg::fastpath::exp_into;
+use mlcd_linalg::fastpath::{Correlation, NlmlLanes, NlmlProblem};
 use mlcd_linalg::{
-    multi_start_nelder_mead_with, Chol, CholWorkspace, Mat, NelderMeadOptions, SampleRange,
+    lockstep_nelder_mead, multi_starts, Chol, LaneGroup, LaneObjective, Mat, NelderMeadOptions,
+    OptResult, SampleRange, LANES,
 };
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Jitter escalation used by every likelihood evaluation.
 const NLML_JITTER: (f64, usize) = (1e-12, 6);
@@ -125,7 +139,7 @@ fn theta_in_bounds(theta: &[f64], d: usize, opts: &FitOptions) -> bool {
 ///
 /// Returns `+inf` for hyperparameters outside sane bounds or that make the
 /// kernel matrix unfactorable — the optimiser treats those as walls.
-/// [`CachedNlml`] is the fast path; this function is kept public as the
+/// [`Likelihood`] is the fast path; this function is kept public as the
 /// ground truth the property tests compare it against.
 pub fn nlml_naive(
     theta: &[f64],
@@ -159,106 +173,215 @@ pub fn nlml_naive(
         + 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln()
 }
 
-/// Workspace-backed likelihood evaluator: the fit fast path.
-///
-/// Borrows a [`DistanceWorkspace`] (pairwise squared differences, computed
-/// once per fit) and owns every scratch buffer an evaluation needs — the
-/// kernel matrix, the r² accumulator, the Cholesky workspace and the solve
-/// vector — so after the first call an evaluation performs no heap
-/// allocation at all. Semantics match [`nlml_naive`] (same soft walls,
-/// same jitter policy, same formula) to rounding; see
-/// [`DistanceWorkspace::fill_kernel`] for why not bitwise.
-pub struct CachedNlml<'w> {
-    dist: &'w DistanceWorkspace,
-    /// `exp(θ)`: `[σ_f², ℓ₁…ℓ_d, σ_n²]`.
-    exp_theta: Vec<f64>,
-    r2: Vec<f64>,
-    k: Mat,
-    alpha: Vec<f64>,
-    chol: CholWorkspace,
-}
-
-impl<'w> CachedNlml<'w> {
-    /// A fresh evaluator over `dist`; buffers grow on first use.
-    pub fn new(dist: &'w DistanceWorkspace) -> Self {
-        CachedNlml {
-            dist,
-            exp_theta: Vec::new(),
-            r2: Vec::new(),
-            k: Mat::zeros(0, 0),
-            alpha: Vec::new(),
-            chol: CholWorkspace::new(),
-        }
-    }
-
-    /// Negative log marginal likelihood at `theta` for standardised
-    /// targets `z` (`z.len()` must equal the workspace's `n`).
-    pub fn eval(
-        &mut self,
-        theta: &[f64],
-        z: &[f64],
-        family: KernelFamily,
-        opts: &FitOptions,
-    ) -> f64 {
-        let d = self.dist.dim();
-        let n = self.dist.n();
-        debug_assert_eq!(theta.len(), d + 2);
-        debug_assert_eq!(z.len(), n);
-        if !theta_in_bounds(theta, d, opts) {
-            return f64::INFINITY;
-        }
-
-        // The same bits as `theta[i].exp()`, one call for all d+2.
-        self.exp_theta.resize(theta.len(), 0.0);
-        exp_into(theta, &mut self.exp_theta);
-        let (sf2, sn2) = (self.exp_theta[0], self.exp_theta[d + 1]);
-
-        // Only K's lower triangle is maintained (stale upper entries from
-        // the previous evaluation are never read): the factorisation
-        // consumes the lower triangle alone. The upfront finiteness scan
-        // is skipped too — θ passed the walls so entries are finite for
-        // any sane input, and a non-finite entry (conceivable only for
-        // astronomically large xs) still fails factorisation through the
-        // pivot checks, landing on the same +inf wall the naive path hits.
-        let ls = &self.exp_theta[1..=d];
-        self.dist.fill_kernel_lower(family, sf2, ls, &mut self.r2, &mut self.k);
-        self.k.add_diag(sn2);
-        if self
-            .chol
-            .factor_with_jitter_assume_finite(&self.k, NLML_JITTER.0, NLML_JITTER.1)
-            .is_err()
-        {
-            return f64::INFINITY;
-        }
-        self.alpha.clear();
-        self.alpha.extend_from_slice(z);
-        // `zᵀK⁻¹z` as the squared norm of the forward solve: half the
-        // substitution work of the naive path's solve-then-dot, equal to
-        // it up to rounding.
-        let quad = self.chol.quad_form_in_place(&mut self.alpha);
-        0.5 * quad + 0.5 * self.chol.log_det() + 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln()
+/// The `mlcd-linalg` correlation that evaluates `family`.
+fn correlation_of(family: KernelFamily) -> Correlation {
+    match family {
+        KernelFamily::SquaredExp => Correlation::SquaredExp,
+        KernelFamily::Matern32 => Correlation::Matern32,
+        KernelFamily::Matern52 => Correlation::Matern52,
     }
 }
 
-/// Buffers that persist *across* fits.
-///
-/// [`fit_hyperparams`] builds a fresh [`DistanceWorkspace`] per call; a
-/// warm-started BO refit loop calls it once per step over an input set
-/// that grows by one row each time, so carrying the workspace across
-/// calls (and rebuilding it in place) makes the per-refit distance-plane
-/// setup allocation-free once the buffer has reached the search's
-/// maximum footprint. Results are bit-identical to the scratch-free path
-/// — [`DistanceWorkspace::rebuild`] produces the exact planes
-/// [`DistanceWorkspace::new`] would.
+/// Work done by the fits through one [`FitScratch`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FitCounters {
+    /// Hyperparameter fits run.
+    pub fits: u64,
+    /// Nelder–Mead starts run.
+    pub starts: u64,
+    /// Likelihood evaluations, soft-wall answers included. Equals the sum
+    /// of the starts' [`OptResult::evals`].
+    pub evaluations: u64,
+    /// Evaluations answered `+∞` at a soft wall, without taking a lane.
+    pub walls: u64,
+    /// Lane batches dispatched to the likelihood kernel.
+    pub batches: u64,
+}
+
+impl FitCounters {
+    /// The share of dispatched lanes that carried a real evaluation:
+    /// `(evaluations − walls) / (LANES · batches)`, or 1 with no batch.
+    pub fn occupancy(&self) -> f64 {
+        if self.batches == 0 {
+            return 1.0;
+        }
+        (self.evaluations - self.walls) as f64 / (LANES as u64 * self.batches) as f64
+    }
+
+    fn add(&mut self, other: &FitCounters) {
+        self.fits += other.fits;
+        self.starts += other.starts;
+        self.evaluations += other.evaluations;
+        self.walls += other.walls;
+        self.batches += other.batches;
+    }
+}
+
+/// One lockstep group's likelihood state: the lane kernel's buffers and
+/// the group's evaluation counters.
 #[derive(Debug, Clone, Default)]
+pub struct NlmlScratch {
+    lanes: NlmlLanes,
+    counters: FitCounters,
+}
+
+impl NlmlScratch {
+    /// An empty scratch; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The evaluations, wall answers and batches this scratch has counted.
+    pub fn counters(&self) -> FitCounters {
+        self.counters
+    }
+}
+
+/// The likelihood of one fit: the negative log marginal likelihood of
+/// standardised targets `z` over a [`DistanceWorkspace`] (pairwise squared
+/// differences, computed once per fit), evaluated for up to [`LANES`] θ at
+/// once.
+///
+/// Semantics match [`nlml_naive`] (same soft walls, same jitter policy,
+/// same formula) to rounding: distances are accumulated as
+/// `(a_d − b_d)² · ℓ_d⁻²` and the quadratic form is `‖L⁻¹z‖²`. Within that,
+/// every θ gets the same bits whichever lane it takes and whatever shares
+/// its batch.
+#[derive(Debug, Clone, Copy)]
+pub struct Likelihood<'a> {
+    problem: NlmlProblem<'a>,
+    opts: &'a FitOptions,
+}
+
+impl<'a> Likelihood<'a> {
+    /// The likelihood of `z` (one target per workspace observation).
+    ///
+    /// # Panics
+    /// Panics if `z.len()` differs from the workspace's `n`, or `n` is 0.
+    pub fn new(
+        dist: &'a DistanceWorkspace,
+        z: &'a [f64],
+        family: KernelFamily,
+        opts: &'a FitOptions,
+    ) -> Self {
+        assert!(dist.n() >= 1, "Likelihood: no observations");
+        assert_eq!(z.len(), dist.n(), "Likelihood: target count");
+        let problem = NlmlProblem {
+            kind: correlation_of(family),
+            planes: dist.planes(),
+            n: dist.n(),
+            dim: dist.dim(),
+            z,
+            jitter: NLML_JITTER,
+        };
+        Likelihood { problem, opts }
+    }
+
+    /// The negative log marginal likelihood at each θ of `thetas` (at most
+    /// [`LANES`]) into `out[..thetas.len()]`. A θ outside the soft walls
+    /// gives `+∞` without taking a lane; the rest are evaluated in one
+    /// lane batch. `+∞` also marks a kernel matrix that stays unfactorable
+    /// through the jitter retries. Counted in `scratch`.
+    ///
+    /// # Panics
+    /// Panics on more than [`LANES`] θ or a short `out`.
+    pub fn eval(&self, scratch: &mut NlmlScratch, thetas: &[&[f64]], out: &mut [f64]) {
+        assert!(thetas.len() <= LANES, "Likelihood::eval: {} θ", thetas.len());
+        assert!(out.len() >= thetas.len(), "Likelihood::eval: output too short");
+        let d = self.problem.dim;
+        let mut inside: [&[f64]; LANES] = [&[]; LANES];
+        let mut slot = [0usize; LANES];
+        let mut m = 0;
+        for ((i, theta), o) in thetas.iter().enumerate().zip(out.iter_mut()) {
+            debug_assert_eq!(theta.len(), d + 2);
+            if theta_in_bounds(theta, d, self.opts) {
+                inside[m] = theta;
+                slot[m] = i;
+                m += 1;
+            } else {
+                *o = f64::INFINITY;
+            }
+        }
+        let counters = &mut scratch.counters;
+        counters.evaluations += thetas.len() as u64;
+        counters.walls += (thetas.len() - m) as u64;
+        if m == 0 {
+            return;
+        }
+        counters.batches += 1;
+        let mut values = [0.0; LANES];
+        scratch.lanes.eval(&self.problem, &inside[..m], &mut values);
+        for (&i, &v) in slot[..m].iter().zip(&values) {
+            out[i] = v;
+        }
+    }
+}
+
+impl LaneObjective for Likelihood<'_> {
+    type Scratch = NlmlScratch;
+
+    fn answer_eagerly(&self, scratch: &mut NlmlScratch, theta: &[f64]) -> Option<f64> {
+        if theta_in_bounds(theta, self.problem.dim, self.opts) {
+            return None;
+        }
+        scratch.counters.evaluations += 1;
+        scratch.counters.walls += 1;
+        Some(f64::INFINITY)
+    }
+
+    fn eval_lanes(&self, scratch: &mut NlmlScratch, thetas: &[&[f64]], out: &mut [f64]) {
+        self.eval(scratch, thetas, out);
+    }
+}
+
+/// Buffers that persist *across* fits, and the work counters of the fits
+/// run through them.
+///
+/// A warm-started BO refit loop fits once per step over an input set that
+/// grows by one row each time. Carrying the scratch across calls rebuilds
+/// the distance planes in place and reuses every lockstep group's
+/// Nelder–Mead steppers and lane buffers, so a refit stops allocating per
+/// group and per round once the buffers reach the search's maximum
+/// footprint. Results are bit-identical to the scratch-free path.
+#[derive(Debug, Default)]
 pub struct FitScratch {
     dist: DistanceWorkspace,
+    groups: Vec<Mutex<LaneGroup<NlmlScratch>>>,
+    /// Fits and starts; the per-group scratches count the rest.
+    counters: FitCounters,
+    /// Starts in the most recent fit.
+    last_starts: usize,
+}
+
+/// A group's lock, recovered if a panic poisoned it: every fit restarts the
+/// group's steppers and resizes its lane buffers before use, so a panic
+/// mid-fit leaves nothing a later fit reads (only its counters are partial).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl FitScratch {
     /// An empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The work of every fit run through this scratch.
+    pub fn counters(&self) -> FitCounters {
+        let mut total = self.counters;
+        for group in &self.groups {
+            total.add(&lock(group).scratch.counters);
+        }
+        total
+    }
+
+    /// Every start's result in the most recent fit, in start order.
+    pub fn last_fit(&self) -> Vec<OptResult> {
+        let used = self.last_starts.div_ceil(LANES);
+        self.groups[..used]
+            .iter()
+            .flat_map(|g| lock(g).runs().iter().map(|nm| nm.result()).collect::<Vec<_>>())
+            .collect()
     }
 }
 
@@ -273,11 +396,42 @@ pub fn fit_hyperparams(
     fit_hyperparams_with_scratch(xs, ys, family, opts, &mut scratch)
 }
 
-/// [`fit_hyperparams`] with caller-retained buffers: the cached-NLML
-/// distance planes are rebuilt in place inside `scratch` instead of
-/// freshly allocated, so consecutive refits over a growing input set stop
-/// allocating once the planes reach their maximum size. Bit-identical to
-/// [`fit_hyperparams`] for the same inputs and options.
+/// The standardised targets a fit minimises over.
+fn standardise(ys: &[f64]) -> Vec<f64> {
+    let scaler = OutputScaler::fit(ys);
+    ys.iter().map(|&y| scaler.transform(y)).collect()
+}
+
+/// A fit's start list: Latin-hypercube draws in the search box, then the
+/// warm start when it is valid.
+///
+/// Warm-start policy: a valid previous optimum always joins the start
+/// list; once enough observations are in (burn-in passed), it also
+/// replaces most of the LHC restarts — the surface changes little between
+/// consecutive refits, so the carried-over optimum plus a few fresh starts
+/// explore enough.
+fn start_list(n: usize, d: usize, opts: &FitOptions) -> Vec<Vec<f64>> {
+    let mut ranges = Vec::with_capacity(d + 2);
+    ranges.push(SampleRange::new(opts.log_signal_var.0, opts.log_signal_var.1));
+    for _ in 0..d {
+        ranges.push(SampleRange::new(opts.log_lengthscale.0, opts.log_lengthscale.1));
+    }
+    ranges.push(SampleRange::new(opts.log_noise_var.0, opts.log_noise_var.1));
+    let warm: Option<&[f64]> =
+        opts.warm_start.as_deref().filter(|w| w.len() == d + 2 && w.iter().all(|v| v.is_finite()));
+    let n_lhc = match warm {
+        Some(_) if n >= opts.warm_burnin => opts.warm_restarts,
+        _ => opts.n_starts,
+    };
+    let extra: Vec<Vec<f64>> = warm.map(|w| w.to_vec()).into_iter().collect();
+    multi_starts(&ranges, n_lhc, &extra, opts.seed)
+}
+
+/// [`fit_hyperparams`] with caller-retained buffers: the distance planes
+/// are rebuilt in place inside `scratch`, and its lockstep groups are
+/// reused, so consecutive refits over a growing input set stop allocating
+/// per group and per round. Bit-identical to [`fit_hyperparams`] for the
+/// same inputs and options; counted in [`FitScratch::counters`].
 pub fn fit_hyperparams_with_scratch(
     xs: &[Vec<f64>],
     ys: &[f64],
@@ -305,43 +459,24 @@ pub fn fit_hyperparams_with_scratch(
         }
     }
 
-    let scaler = OutputScaler::fit(ys);
-    let z: Vec<f64> = ys.iter().map(|&y| scaler.transform(y)).collect();
-
-    let mut ranges = Vec::with_capacity(d + 2);
-    ranges.push(SampleRange::new(opts.log_signal_var.0, opts.log_signal_var.1));
-    for _ in 0..d {
-        ranges.push(SampleRange::new(opts.log_lengthscale.0, opts.log_lengthscale.1));
+    let z = standardise(ys);
+    let starts = start_list(xs.len(), d, opts);
+    let n_groups = starts.len().div_ceil(LANES);
+    if scratch.groups.len() < n_groups {
+        scratch.groups.resize_with(n_groups, Default::default);
     }
-    ranges.push(SampleRange::new(opts.log_noise_var.0, opts.log_noise_var.1));
-
-    // Warm-start policy: a valid previous optimum always joins the start
-    // list; once enough observations are in (burn-in passed), it also
-    // replaces most of the LHC restarts — the surface changes little
-    // between consecutive refits, so the carried-over optimum plus a few
-    // fresh starts explore enough.
-    let warm: Option<&[f64]> =
-        opts.warm_start.as_deref().filter(|w| w.len() == d + 2 && w.iter().all(|v| v.is_finite()));
-    let n_lhc = match warm {
-        Some(_) if xs.len() >= opts.warm_burnin => opts.warm_restarts,
-        _ => opts.n_starts,
-    };
-    let extra: Vec<Vec<f64>> = warm.map(|w| w.to_vec()).into_iter().collect();
-
+    // Size every group's lane buffers here, on the caller's thread, so the
+    // fan-out below never allocates on a pool helper.
+    for group in &mut scratch.groups[..n_groups] {
+        let group = group.get_mut().unwrap_or_else(PoisonError::into_inner);
+        group.scratch.lanes.reserve(xs.len(), d);
+    }
     scratch.dist.rebuild(xs);
-    let dist = &scratch.dist;
-    let z = &z;
-    let best = multi_start_nelder_mead_with(
-        || {
-            let mut cache = CachedNlml::new(dist);
-            move |theta: &[f64]| cache.eval(theta, z, family, opts)
-        },
-        &ranges,
-        n_lhc,
-        &extra,
-        opts.seed,
-        &opts.nm,
-    );
+    let likelihood = Likelihood::new(&scratch.dist, &z, family, opts);
+    let best = lockstep_nelder_mead(&likelihood, &scratch.groups, &starts, &opts.nm);
+    scratch.counters.fits += 1;
+    scratch.counters.starts += starts.len() as u64;
+    scratch.last_starts = starts.len();
 
     if !best.fx.is_finite() {
         return Err(GpError::BadTrainingData(
@@ -363,6 +498,7 @@ pub fn fit_hyperparams_with_scratch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlcd_linalg::{multi_start_nelder_mead_with, nelder_mead};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -488,9 +624,8 @@ mod tests {
         let c = fit_hyperparams(&xs, &ys, family, &opts).unwrap();
         // The same multi-start search over the reference likelihood: the
         // fit's LHC starts, seed and budget, with `nlml_naive` in place of
-        // `CachedNlml`.
-        let scaler = OutputScaler::fit(&ys);
-        let z: Vec<f64> = ys.iter().map(|&y| scaler.transform(y)).collect();
+        // the lane evaluator.
+        let z = standardise(&ys);
         let mut ranges = vec![SampleRange::new(opts.log_signal_var.0, opts.log_signal_var.1)];
         ranges.push(SampleRange::new(opts.log_lengthscale.0, opts.log_lengthscale.1));
         ranges.push(SampleRange::new(opts.log_noise_var.0, opts.log_noise_var.1));
@@ -534,6 +669,113 @@ mod tests {
             assert_eq!(with.kernel, fresh.kernel);
             warm = Some(with.theta);
         }
+    }
+
+    /// One θ at a time through the lane evaluator: the scalar objective
+    /// the lockstep driver must reproduce.
+    fn one_lane<'a>(
+        likelihood: &'a Likelihood<'a>,
+        scratch: &'a mut NlmlScratch,
+    ) -> impl FnMut(&[f64]) -> f64 + 'a {
+        move |theta: &[f64]| {
+            let mut out = [0.0];
+            likelihood.eval(scratch, &[theta], &mut out);
+            out[0]
+        }
+    }
+
+    fn result_bits(r: &OptResult) -> (Vec<u64>, u64, usize, bool) {
+        (r.x.iter().map(|v| v.to_bits()).collect(), r.fx.to_bits(), r.evals, r.converged)
+    }
+
+    #[test]
+    fn lockstep_fit_matches_its_starts_run_one_by_one_and_counts_its_work() {
+        let mut rng = SmallRng::seed_from_u64(12);
+        let xs: Vec<Vec<f64>> =
+            (0..11).map(|_| (0..5).map(|_| rng.gen::<f64>()).collect()).collect();
+        let ys: Vec<f64> = xs.iter().map(|x| x[0] * 3.0 - (x[1] * 4.0).sin() + x[4]).collect();
+        for (family, warm) in [(KernelFamily::Matern52, false), (KernelFamily::SquaredExp, true)] {
+            let cold = FitOptions::default();
+            let opts = if warm {
+                let prev = fit_hyperparams(&xs[..10], &ys[..10], family, &cold).unwrap();
+                FitOptions { warm_start: Some(prev.theta), warm_burnin: 100, ..cold }
+            } else {
+                cold
+            };
+            let mut scratch = FitScratch::new();
+            let fit = fit_hyperparams_with_scratch(&xs, &ys, family, &opts, &mut scratch).unwrap();
+
+            let z = standardise(&ys);
+            let starts = start_list(xs.len(), 5, &opts);
+            assert_eq!(starts.len(), if warm { 9 } else { 8 });
+            let dist = DistanceWorkspace::new(&xs);
+            let likelihood = Likelihood::new(&dist, &z, family, &opts);
+            // One scratch per start, so each start's wall answers are known.
+            let mut lanes: Vec<NlmlScratch> = starts.iter().map(|_| NlmlScratch::new()).collect();
+            let sequential: Vec<OptResult> = starts
+                .iter()
+                .zip(&mut lanes)
+                .map(|(x0, lane)| nelder_mead(one_lane(&likelihood, lane), x0, &opts.nm))
+                .collect();
+            let got = scratch.last_fit();
+            assert_eq!(got.len(), sequential.len());
+            for (i, (g, w)) in got.iter().zip(&sequential).enumerate() {
+                assert_eq!(result_bits(g), result_bits(w), "{family:?} start {i}");
+            }
+            let best = sequential.iter().min_by(|a, b| a.fx.total_cmp(&b.fx)).expect("starts");
+            assert_eq!(fit.theta, best.x);
+            assert_eq!(fit.nlml.to_bits(), best.fx.to_bits());
+
+            let c = scratch.counters();
+            let evals: usize = sequential.iter().map(|r| r.evals).sum();
+            assert_eq!((c.fits, c.starts), (1, starts.len() as u64));
+            assert_eq!(c.evaluations, evals as u64, "{c:?}");
+            // The one-by-one runs counted the same evaluations and walls.
+            let lone = lanes.iter().fold(FitCounters::default(), |mut acc, l| {
+                acc.add(&l.counters());
+                acc
+            });
+            assert_eq!((lone.evaluations, lone.walls), (c.evaluations, c.walls));
+            assert!(c.walls > 0, "{c:?}");
+            // Walls take no lane, so a group dispatches exactly as many
+            // batches as its start with the most real evaluations needs: a
+            // lane idles only once its start has finished.
+            let real: Vec<u64> =
+                lanes.iter().map(|l| l.counters().evaluations - l.counters().walls).collect();
+            let batches: u64 =
+                real.chunks(LANES).map(|g| g.iter().max().copied().unwrap_or(0)).sum();
+            assert_eq!(c.batches, batches, "{family:?}: {c:?}");
+            // Cold: two full groups (0.912 here). Warm: the ninth start
+            // runs alone in a third group.
+            let floor = if warm { 0.6 } else { 0.9 };
+            assert!(c.occupancy() >= floor, "{family:?}: occupancy {} ({c:?})", c.occupancy());
+        }
+    }
+
+    #[test]
+    fn walls_take_no_lane() {
+        let (xs, ys) = smooth_data(6, 0.05, 13);
+        let z = standardise(&ys);
+        let dist = DistanceWorkspace::new(&xs);
+        let opts = FitOptions::default();
+        let likelihood = Likelihood::new(&dist, &z, KernelFamily::Matern32, &opts);
+        let inside = [0.3, -1.0, -4.0];
+        let outside = [9.0, -1.0, -4.0];
+        let mut scratch = NlmlScratch::new();
+        let mut out = [0.0; 3];
+        likelihood.eval(&mut scratch, &[&outside, &inside, &outside], &mut out);
+        let mut lone = [0.0];
+        likelihood.eval(&mut scratch, &[&inside], &mut lone);
+        assert_eq!(out[0], f64::INFINITY);
+        assert_eq!(out[2], f64::INFINITY);
+        assert_eq!(out[1].to_bits(), lone[0].to_bits());
+        assert!(lone[0].is_finite());
+        let c = scratch.counters();
+        assert_eq!((c.evaluations, c.walls, c.batches), (4, 2, 2));
+        likelihood.eval(&mut scratch, &[&outside], &mut lone);
+        assert_eq!(scratch.counters().batches, 2, "an all-wall call dispatched a batch");
+        assert_eq!(likelihood.answer_eagerly(&mut scratch, &outside), Some(f64::INFINITY));
+        assert_eq!(likelihood.answer_eagerly(&mut scratch, &inside), None);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod model;
 pub mod scale;
 pub mod workspace;
 
-pub use fit::{CachedNlml, FitOptions, FitScratch, FittedHyperparams};
+pub use fit::{FitCounters, FitOptions, FitScratch, FittedHyperparams, Likelihood, NlmlScratch};
 pub use kernel::{ArdKernel, KernelFamily};
 pub use model::{GpError, GpModel, Prediction, ScoreWorkspace};
 pub use scale::{InputScaler, OutputScaler};

@@ -1,7 +1,9 @@
 //! Property-based tests for GP regression invariants.
 
 use mlcd_gp::fit::nlml_naive;
-use mlcd_gp::{ArdKernel, CachedNlml, DistanceWorkspace, FitOptions, GpModel, KernelFamily};
+use mlcd_gp::{
+    ArdKernel, DistanceWorkspace, FitOptions, GpModel, KernelFamily, Likelihood, NlmlScratch,
+};
 use proptest::prelude::*;
 
 /// Strategy: n distinct 1-D inputs in [0, 10] with targets in [-5, 5].
@@ -106,15 +108,15 @@ proptest! {
     }
 
     #[test]
-    fn cached_nlml_matches_naive(
+    fn lane_nlml_matches_naive(
         (n, dim) in (2usize..20, 1usize..6),
         seed_cells in proptest::collection::vec(0.0f64..1.0, 20 * 5),
         z_cells in proptest::collection::vec(-3.0f64..3.0, 20),
         (log_sf2, log_sn2) in ((0.1f64.ln())..(10.0f64.ln()), (1e-3f64.ln())..(1.0f64.ln())),
         log_ls in proptest::collection::vec((0.1f64.ln())..(10.0f64.ln()), 5),
-        family_ix in 0usize..3,
+        (family_ix, lane) in (0usize..3, 0usize..4),
     ) {
-        // The workspace path accumulates r² as (a−b)²·ℓ⁻² instead of
+        // The lane path accumulates r² as (a−b)²·ℓ⁻² instead of
         // ((a−b)/ℓ)² and computes the quadratic form as ‖L⁻¹z‖², so it is
         // not bitwise-equal to the reference — but it must agree to 1e-12
         // relative for every kernel family on well-conditioned problems
@@ -132,16 +134,24 @@ proptest! {
         let opts = FitOptions::default();
         let want = nlml_naive(&theta, &xs, z, family, &opts);
         let dist = DistanceWorkspace::new(&xs);
-        let mut cache = CachedNlml::new(&dist);
-        let got = cache.eval(&theta, z, family, &opts);
+        let likelihood = Likelihood::new(&dist, z, family, &opts);
+        let mut scratch = NlmlScratch::new();
+        let mut got = [0.0];
+        likelihood.eval(&mut scratch, &[&theta], &mut got);
+        let got = got[0];
         prop_assert!(want.is_finite(), "reference nlml not finite: {want}");
         prop_assert!(
             (got - want).abs() <= 1e-12 * want.abs().max(1.0),
-            "{family:?} n={n} dim={dim}: cached {got} vs naive {want}"
+            "{family:?} n={n} dim={dim}: lanes {got} vs naive {want}"
         );
-        // A second evaluation through the same (now-warm) buffers is
-        // identical — no state leaks between evaluations.
-        prop_assert_eq!(cache.eval(&theta, z, family, &opts), got);
+        // In any lane of a full batch, beside other θ, through the same
+        // (now-warm) buffers: the same bits — lanes never mix.
+        let other: Vec<f64> = theta.iter().map(|t| t * 0.5 - 0.2).collect();
+        let mut batch: [&[f64]; 4] = [&other; 4];
+        batch[lane] = &theta;
+        let mut out = [0.0; 4];
+        likelihood.eval(&mut scratch, &batch, &mut out);
+        prop_assert_eq!(out[lane].to_bits(), got.to_bits());
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Pins the allocation-free contract of the likelihood fast path: after
-//! one warm-up call, `CachedNlml::eval` performs zero heap allocations,
-//! whatever θ it is given — inside the walls, outside them, or where the
-//! kernel matrix needs jitter or holds entries whose `exp` argument lies
-//! outside the inlined `exp`'s main range. The one-time fast-path choice
-//! (CPU detection plus self-check) allocates nothing either.
+//! one warm-up call, a lane evaluation (`Likelihood::eval`) performs zero
+//! heap allocations, whatever θ it is given and however many share its
+//! batch — inside the walls, outside them, or where the kernel matrix
+//! needs jitter or holds entries whose `exp` argument lies outside the
+//! inlined `exp`'s main range. The one-time fast-path choice (CPU
+//! detection plus self-check) allocates nothing either. A warm refit
+//! through a `FitScratch` allocates nothing per lockstep round: its count
+//! does not grow with the evaluation budget.
 //!
 //! Lives alone in this integration-test binary because the counting
 //! `#[global_allocator]` is process-wide.
@@ -11,7 +14,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use mlcd_gp::{CachedNlml, DistanceWorkspace, FitOptions, KernelFamily};
+use mlcd_gp::fit::fit_hyperparams_with_scratch;
+use mlcd_gp::{DistanceWorkspace, FitOptions, FitScratch, KernelFamily, Likelihood, NlmlScratch};
+use mlcd_linalg::NelderMeadOptions;
 
 /// Forwards to the system allocator, counting (de)allocations only while
 /// armed so test-harness and setup allocations don't pollute the count.
@@ -60,8 +65,15 @@ fn count_allocs(f: impl FnOnce()) -> usize {
     ALLOCS.load(Ordering::SeqCst)
 }
 
+/// One test function: the counter is process-wide, and the harness would
+/// run separate tests on parallel threads that allocate as they start.
 #[test]
-fn warm_likelihood_evaluation_allocates_nothing() {
+fn warm_likelihood_evaluation_and_refit_allocate_nothing() {
+    warm_lane_evaluation_allocates_nothing();
+    warm_refit_allocates_nothing_per_round();
+}
+
+fn warm_lane_evaluation_allocates_nothing() {
     // The first call in this process makes the fast-path choice.
     let mut fast = false;
     let detect = count_allocs(|| fast = mlcd_linalg::fastpath::fast_path_enabled());
@@ -93,19 +105,58 @@ fn warm_likelihood_evaluation_allocates_nothing() {
     ];
 
     for family in KernelFamily::ALL {
-        let mut cache = CachedNlml::new(&dist);
+        let likelihood = Likelihood::new(&dist, &z, family, &opts);
+        let mut scratch = NlmlScratch::new();
+        let refs: Vec<&[f64]> = thetas.iter().map(|t| &t[..]).collect();
+        let mut out = [0.0; 4];
         // Warm-up: buffers grow to their final size.
-        cache.eval(&thetas[0], &z, family, &opts);
+        likelihood.eval(&mut scratch, &refs[..4], &mut out);
         let mut values = Vec::with_capacity(thetas.len() * 4);
         let allocs = count_allocs(|| {
             for _ in 0..4 {
-                for theta in &thetas {
-                    values.push(cache.eval(theta, &z, family, &opts));
+                for theta in &refs {
+                    likelihood.eval(&mut scratch, &[theta], &mut out);
+                    values.push(out[0]);
+                }
+                // Every batch width, walls mixed in.
+                for width in 1..=4 {
+                    likelihood.eval(&mut scratch, &refs[5 - width..], &mut out);
                 }
             }
         });
-        assert_eq!(allocs, 0, "{family:?}: warm CachedNlml::eval allocated");
+        assert_eq!(allocs, 0, "{family:?}: warm lane evaluation allocated");
         assert!(values[..4].iter().all(|v| v.is_finite()), "{family:?}: {values:?}");
         assert_eq!(values[4], f64::INFINITY, "{family:?}: wall not hit");
     }
+}
+
+fn warm_refit_allocates_nothing_per_round() {
+    let xs: Vec<Vec<f64>> = (0..10)
+        .map(|i| {
+            let t = i as f64 / 9.0;
+            vec![t, (t * 5.0).fract(), (t * 2.1).cos()]
+        })
+        .collect();
+    let ys: Vec<f64> = xs.iter().map(|x| (x[0] * 4.0).sin() + x[2]).collect();
+    let refit = |budget: usize, scratch: &mut FitScratch| {
+        let opts = FitOptions {
+            nm: NelderMeadOptions { max_evals: budget, ..FitOptions::default().nm },
+            ..FitOptions::default()
+        };
+        let fit = fit_hyperparams_with_scratch(&xs, &ys, KernelFamily::Matern52, &opts, scratch);
+        assert!(fit.expect("fit").nlml.is_finite());
+    };
+    let mut scratch = FitScratch::new();
+    // Warm-up: the planes, every group's steppers and lane buffers, and
+    // the fan-out pool reach their final size.
+    refit(250, &mut scratch);
+    refit(250, &mut scratch);
+    let before = scratch.counters();
+    let short = count_allocs(|| refit(60, &mut scratch));
+    let long = count_allocs(|| refit(250, &mut scratch));
+    let rounds = scratch.counters().batches - before.batches;
+    assert!(rounds > 400, "{rounds} lane batches");
+    // Per fit there remain the start list, the per-call fan-out slots and
+    // the result; none of them depends on how many rounds ran.
+    assert_eq!(short, long, "a warm refit's allocations grew with its rounds");
 }

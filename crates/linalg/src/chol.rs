@@ -7,9 +7,12 @@
 //! growing diagonal jitter, which is the standard GP-library remedy.
 //!
 //! The factorisation and the single right-hand-side forward solve are the
-//! hot loops of every GP likelihood evaluation. Callers reach them through
+//! hot loops of a GP posterior fit. Callers reach them through
 //! [`crate::fastpath`], which runs their AVX2 compilation where the CPU
-//! supports it; both compilations produce the same bits.
+//! supports it; both compilations produce the same bits. The likelihood
+//! evaluations of a hyperparameter fit factor four kernel matrices at once
+//! in [`crate::fastpath::NlmlLanes`], whose lanes perform this
+//! factorisation's operations in this order.
 
 // lint: allow(hot-index, file) — factorisation kernels index columns by loop variables bounded
 // by the matrix order (i, j, k ≤ n checked on entry); replacing slice indexing with checked
@@ -142,29 +145,20 @@ pub(crate) fn factor_into(a: &Mat, jitter: f64, out: &mut Mat) -> Result<(), Cho
     Ok(())
 }
 
-/// Jitter-escalation driver shared by [`Chol::factor_with_jitter`] and
-/// [`CholWorkspace`]: validate once, then retry `factor_into` with
-/// `0, base, 10·base, …` on the diagonal. Resizes `out` if its order
-/// doesn't match (allocation-free otherwise) and returns the jitter that
-/// succeeded.
-///
-/// With `check_finite` off the upfront whole-matrix scan is skipped:
-/// non-finite input still fails (a NaN or ∞ anywhere in the lower
-/// triangle propagates into the pivot of its row, which the pivot check
-/// rejects) but surfaces as `NotPositiveDefinite` rather than
-/// `NotFinite`. Hot paths whose input is finite by construction use that
-/// mode.
+/// Jitter-escalation driver behind [`Chol::factor_with_jitter`]: validate
+/// once, then retry `factor_into` with `0, base, 10·base, …` on the
+/// diagonal. Resizes `out` if its order doesn't match and returns the
+/// jitter that succeeded.
 fn factor_with_jitter_into(
     a: &Mat,
     base: f64,
     max_tries: usize,
     out: &mut Mat,
-    check_finite: bool,
 ) -> Result<f64, CholError> {
     if !a.is_square() {
         return Err(CholError::NotSquare { rows: a.rows(), cols: a.cols() });
     }
-    if check_finite && a.as_slice().iter().any(|v| !v.is_finite()) {
+    if a.as_slice().iter().any(|v| !v.is_finite()) {
         return Err(CholError::NotFinite);
     }
     let n = a.rows();
@@ -284,7 +278,7 @@ impl Chol {
     /// jitter applied to the diagonal on the fly.
     pub fn factor_with_jitter(a: &Mat, base: f64, max_tries: usize) -> Result<Self, CholError> {
         let mut l = Mat::zeros(0, 0);
-        let jitter = factor_with_jitter_into(a, base, max_tries, &mut l, true)?;
+        let jitter = factor_with_jitter_into(a, base, max_tries, &mut l)?;
         Ok(Chol { l, jitter })
     }
 
@@ -390,110 +384,6 @@ impl Chol {
         }
         l[(n, n)] = lambda;
         Ok(Chol { l, jitter: self.jitter })
-    }
-}
-
-/// Reusable factorisation state for hot loops.
-///
-/// [`Chol`] allocates a fresh factor per call; a `CholWorkspace` re-factors
-/// into the same buffer, so repeated factorisations of same-order matrices
-/// (the marginal-likelihood optimiser does thousands per fit) are
-/// allocation-free. Numerically it runs the exact code path `Chol` does —
-/// factor, solves and `log_det` are bit-identical.
-///
-/// After a failed [`factor_with_jitter`](Self::factor_with_jitter) the
-/// buffer holds partial garbage; the accessors are only meaningful after
-/// the most recent factorisation succeeded.
-#[derive(Debug, Clone)]
-pub struct CholWorkspace {
-    l: Mat,
-    jitter: f64,
-}
-
-impl Default for CholWorkspace {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CholWorkspace {
-    /// An empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        CholWorkspace { l: Mat::zeros(0, 0), jitter: 0.0 }
-    }
-
-    /// Factor `a` with escalating jitter into the internal buffer (see
-    /// [`Chol::factor_with_jitter`] for the retry policy). Allocation-free
-    /// whenever `a` has the same order as the previous call.
-    pub fn factor_with_jitter(
-        &mut self,
-        a: &Mat,
-        base: f64,
-        max_tries: usize,
-    ) -> Result<(), CholError> {
-        self.jitter = factor_with_jitter_into(a, base, max_tries, &mut self.l, true)?;
-        Ok(())
-    }
-
-    /// Like [`factor_with_jitter`](Self::factor_with_jitter) but without
-    /// the upfront whole-matrix finiteness scan, for callers whose input
-    /// is finite by construction (e.g. a kernel matrix assembled from
-    /// bounded hyperparameters). Only the lower triangle of `a` is read —
-    /// the strict upper triangle may hold stale values. Non-finite input
-    /// is still rejected, via the pivot checks, but reports
-    /// [`CholError::NotPositiveDefinite`] instead of
-    /// [`CholError::NotFinite`].
-    pub fn factor_with_jitter_assume_finite(
-        &mut self,
-        a: &Mat,
-        base: f64,
-        max_tries: usize,
-    ) -> Result<(), CholError> {
-        self.jitter = factor_with_jitter_into(a, base, max_tries, &mut self.l, false)?;
-        Ok(())
-    }
-
-    /// The lower-triangular factor of the last successful factorisation.
-    pub fn l(&self) -> &Mat {
-        &self.l
-    }
-
-    /// Diagonal jitter added by the last successful factorisation.
-    pub fn jitter(&self) -> f64 {
-        self.jitter
-    }
-
-    /// Order of the factored matrix.
-    pub fn order(&self) -> usize {
-        self.l.rows()
-    }
-
-    /// `log |A| = 2 Σ log L_ii`.
-    pub fn log_det(&self) -> f64 {
-        log_det_of(&self.l)
-    }
-
-    /// Solve `A x = b` in place (forward then back substitution on `b`).
-    ///
-    /// # Panics
-    /// Panics if `b.len()` differs from the factored order.
-    pub fn solve_in_place(&self, b: &mut [f64]) {
-        assert_eq!(b.len(), self.order(), "solve_in_place: dimension mismatch");
-        crate::fastpath::solve_lower_in_place(&self.l, b);
-        solve_upper_in_place(&self.l, b);
-    }
-
-    /// Quadratic form `bᵀ A⁻¹ b` computed as `‖L⁻¹ b‖²`, overwriting `b`
-    /// with the forward-substitution result. Skips the back substitution
-    /// that a solve-then-dot formulation would pay for; the two agree to
-    /// rounding (the sum of squares is at least as stable).
-    ///
-    /// # Panics
-    /// Panics if `b.len()` differs from the factored order.
-    pub fn quad_form_in_place(&self, b: &mut [f64]) -> f64 {
-        assert_eq!(b.len(), self.order(), "quad_form_in_place: dimension mismatch");
-        crate::fastpath::solve_lower_in_place(&self.l, b);
-        b.iter().map(|v| v * v).sum()
     }
 }
 
@@ -693,85 +583,6 @@ mod tests {
         let c = Chol::factor(&spd3()).unwrap();
         let y = c.solve_lower_multi(&Mat::zeros(3, 0));
         assert_eq!((y.rows(), y.cols()), (3, 0));
-    }
-
-    #[test]
-    fn workspace_matches_chol_bitwise() {
-        // Same factor, jitter, log-det and solve as the allocating path —
-        // bit for bit, including a case that needs jitter escalation.
-        let mut ws = CholWorkspace::new();
-        for a in [spd3(), Mat::from_fn(3, 3, |_, _| 1.0)] {
-            let c = Chol::factor_with_jitter(&a, 1e-10, 12).unwrap();
-            ws.factor_with_jitter(&a, 1e-10, 12).unwrap();
-            assert_eq!(ws.l().as_slice(), c.l().as_slice());
-            assert_eq!(ws.jitter(), c.jitter());
-            assert_eq!(ws.log_det(), c.log_det());
-            let b = [1.0, -2.0, 0.5];
-            let mut x = b;
-            ws.solve_in_place(&mut x);
-            assert_eq!(x.to_vec(), c.solve(&b));
-        }
-    }
-
-    #[test]
-    fn workspace_reuse_across_orders() {
-        // Shrinking and growing between calls must re-size correctly and
-        // leave no stale state behind.
-        let mut ws = CholWorkspace::new();
-        for n in [4usize, 2, 6, 2] {
-            let a = Mat::from_fn(n, n, |i, j| if i == j { 3.0 } else { 0.5 });
-            ws.factor_with_jitter(&a, 1e-12, 4).unwrap();
-            let c = Chol::factor_with_jitter(&a, 1e-12, 4).unwrap();
-            assert_eq!(ws.order(), n);
-            assert_eq!(ws.l().as_slice(), c.l().as_slice());
-        }
-    }
-
-    #[test]
-    fn assume_finite_matches_checked_and_still_rejects_nan() {
-        let mut checked = CholWorkspace::new();
-        let mut fast = CholWorkspace::new();
-        checked.factor_with_jitter(&spd3(), 1e-12, 4).unwrap();
-        fast.factor_with_jitter_assume_finite(&spd3(), 1e-12, 4).unwrap();
-        assert_eq!(fast.l().as_slice(), checked.l().as_slice());
-        assert_eq!(fast.jitter(), checked.jitter());
-
-        // A NaN in the lower triangle must still fail — through the pivot
-        // check, so the error is NotPositiveDefinite rather than NotFinite.
-        let mut bad = spd3();
-        bad[(2, 1)] = f64::NAN;
-        assert!(matches!(
-            fast.factor_with_jitter_assume_finite(&bad, 0.0, 0),
-            Err(CholError::NotPositiveDefinite { .. })
-        ));
-        // And a stale upper triangle is ignored.
-        let mut stale = spd3();
-        stale[(0, 2)] = f64::INFINITY;
-        fast.factor_with_jitter_assume_finite(&stale, 1e-12, 4).unwrap();
-        assert_eq!(fast.l().as_slice(), checked.l().as_slice());
-    }
-
-    #[test]
-    fn workspace_quad_form_matches_chol() {
-        let mut ws = CholWorkspace::new();
-        ws.factor_with_jitter(&spd3(), 1e-12, 4).unwrap();
-        let c = Chol::factor(&spd3()).unwrap();
-        let b = [1.0, -2.0, 0.5];
-        let mut y = b;
-        // Same `‖L⁻¹b‖²` formulation on the same factor: bit-identical.
-        assert_eq!(ws.quad_form_in_place(&mut y), c.quad_form(&b));
-        assert_eq!(y.to_vec(), c.solve_lower(&b));
-    }
-
-    #[test]
-    fn workspace_recovers_after_failure() {
-        let mut ws = CholWorkspace::new();
-        let bad = Mat::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]); // indefinite
-        assert!(ws.factor_with_jitter(&bad, 0.0, 0).is_err());
-        ws.factor_with_jitter(&spd3(), 1e-12, 4).unwrap();
-        let c = Chol::factor(&spd3()).unwrap();
-        assert_eq!(ws.l().as_slice(), c.l().as_slice());
-        assert_eq!(ws.jitter(), 0.0);
     }
 
     #[test]

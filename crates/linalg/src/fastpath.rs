@@ -3,11 +3,14 @@
 //!
 //! Every marginal-likelihood evaluation of a GP fit fills a kernel matrix
 //! (one `exp` per pair of observations), factors it and runs one forward
-//! solve. This module holds the three kernels behind that evaluation —
-//! [`correlate`] (the kernel fill's `r² → sf2·ρ(r)` pass, and [`exp_into`]
-//! for the hyperparameters), the Cholesky factorisation and the forward
-//! substitution — each compiled twice from one source: once for the
-//! baseline target and once under `#[target_feature(enable = "avx2,fma")]`.
+//! solve. The matrices are small (n = 2 to 30 or so in a search), too
+//! narrow for vectors within one matrix, so the likelihood is evaluated for
+//! [`LANES`] hyperparameter vectors at once, one AVX2 `f64` lane each:
+//! [`NlmlLanes`] (in `fastpath/lanes.rs`) holds that evaluator, from the
+//! distance planes to the final sum. It and the single-matrix Cholesky
+//! factorisation and forward solve behind [`crate::Chol`] are each compiled
+//! twice from one source: once for the baseline target and once under
+//! `#[target_feature(enable = "avx2,fma")]`.
 //!
 //! # The `exp` port
 //!
@@ -18,8 +21,8 @@
 //! fixed places. The port below reproduces that build step for step with
 //! explicit [`f64::mul_add`]s at exactly those places, so on the main
 //! range `2⁻⁵⁴ ≤ |x| < 512` it returns the same bits as [`f64::exp`]. The
-//! port is branch-free, so LLVM vectorises the fill's loop around it;
-//! inputs outside the main range (tiny, huge, NaN, ±∞) are recomputed by
+//! port is branch-free, so LLVM vectorises the loops around it; inputs
+//! outside the main range (tiny, huge, NaN, ±∞) are recomputed by
 //! [`f64::exp`] in a second pass that runs only when such an input occurs.
 //!
 //! # Why the AVX2 copies are bit-identical
@@ -28,7 +31,8 @@
 //! IEEE-754 add, multiply, divide and square root rounds the same at any
 //! vector width, so a loop that LLVM vectorises with AVX2 produces the
 //! same bits as its scalar compilation. The port's `mul_add`s are the only
-//! fused operations, and they are fused in glibc too.
+//! fused operations, and they are fused in glibc too. Lanes never mix: each
+//! lane performs the scalar evaluation's operations in the scalar order.
 //!
 //! # Dispatch
 //!
@@ -48,10 +52,15 @@
 // LLVM proves the same and drops the check, which keeps the correlation loop vectorisable.
 // The rule's other hits here are slice types after `mut` and array literals after `in`.
 
+mod lanes;
+
+pub use lanes::{NlmlLanes, NlmlProblem};
+
 use crate::chol::{self, CholError};
 use crate::mat::Mat;
+use crate::optimize::LANES;
 
-/// The stationary correlation `ρ` that [`correlate`] applies to a squared
+/// The stationary correlation `ρ` the likelihood applies to a squared
 /// scaled distance `r²`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Correlation {
@@ -78,39 +87,15 @@ pub fn fast_path_enabled() -> bool {
     }
 }
 
-/// `out[i] = exp(x[i])`, bit-identical to [`f64::exp`] on every input.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn exp_into(x: &[f64], out: &mut [f64]) {
-    assert_eq!(x.len(), out.len(), "exp_into: length mismatch");
+/// The lane evaluator's body through the dispatch.
+fn nlml_lanes(s: &mut NlmlLanes, p: &NlmlProblem<'_>) -> [f64; LANES] {
     #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
     if fast_path_enabled() {
         // SAFETY: `fast_path_enabled` is true only after `is_x86_feature_detected!`
         // reported both `avx2` and `fma` on this CPU.
-        return unsafe { avx2::exp_into(x, out) };
+        return unsafe { lanes::avx2::nlml(s, p) };
     }
-    map_exp::<Libm>(x, out, |v| (v, 1.0), 1.0);
-}
-
-/// `out[p] = sf2 · ρ(√r2[p])` for the given correlation family: the kernel
-/// fill's per-pair pass over a whole vector of squared scaled distances.
-///
-/// Bit-identical to the scalar expression `sf2 * ((1 + s + s*s/3) *
-/// (-s).exp())` (and its Matérn-3/2 and squared-exponential analogues) on
-/// every input.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn correlate(kind: Correlation, sf2: f64, r2: &[f64], out: &mut [f64]) {
-    assert_eq!(r2.len(), out.len(), "correlate: length mismatch");
-    #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
-    if fast_path_enabled() {
-        // SAFETY: `fast_path_enabled` is true only after `is_x86_feature_detected!`
-        // reported both `avx2` and `fma` on this CPU.
-        return unsafe { avx2::correlate(kind, sf2, r2, out) };
-    }
-    correlate_body::<Libm>(kind, sf2, r2, out);
+    lanes::baseline::nlml(s, p)
 }
 
 /// [`chol::factor_into`] through the dispatch.
@@ -135,8 +120,8 @@ pub(crate) fn solve_lower_in_place(l: &Mat, y: &mut [f64]) {
     chol::solve_lower_in_place(l, y)
 }
 
-/// An `exp` for [`map_exp`]: exact wherever `covers` holds, unspecified
-/// (but harmless) elsewhere.
+/// An `exp` for the likelihood's passes: exact wherever `covers` holds,
+/// unspecified (but harmless) elsewhere.
 trait Exp {
     fn exp(x: f64) -> f64;
     fn covers(x: f64) -> bool;
@@ -154,56 +139,6 @@ impl Exp for Libm {
     #[inline(always)]
     fn covers(_: f64) -> bool {
         true
-    }
-}
-
-/// `out[i] = scale · (poly · exp(x))` with `(x, poly) = arg(src[i])`.
-///
-/// The first pass is branch-free so that it vectorises when `E` is the
-/// port; lanes `E` does not cover are then recomputed with [`f64::exp`].
-/// With [`Libm`] the second pass is dead and compiles away.
-#[inline(always)]
-fn map_exp<E: Exp>(src: &[f64], out: &mut [f64], arg: impl Fn(f64) -> (f64, f64), scale: f64) {
-    let mut covered = true;
-    for (o, &v) in out.iter_mut().zip(src) {
-        let (x, poly) = arg(v);
-        covered &= E::covers(x);
-        *o = scale * (poly * E::exp(x));
-    }
-    if !covered {
-        for (o, &v) in out.iter_mut().zip(src) {
-            let (x, poly) = arg(v);
-            if !E::covers(x) {
-                *o = scale * (poly * x.exp());
-            }
-        }
-    }
-}
-
-/// [`correlate`]'s body. Each family's expression is the kernel fill's
-/// historical one — `mlcd-gp`'s `KernelFamily::correlation` of `√r²`, or
-/// `exp(−½·r²)` for the squared exponential — operation for operation (a
-/// factor of `1.0` is exact), so the results are bit-identical to it.
-#[inline(always)]
-fn correlate_body<E: Exp>(kind: Correlation, sf2: f64, r2: &[f64], out: &mut [f64]) {
-    match kind {
-        Correlation::SquaredExp => map_exp::<E>(r2, out, |v| (-0.5 * v, 1.0), sf2),
-        Correlation::Matern32 => {
-            let c = 3.0_f64.sqrt();
-            let arg = |v: f64| {
-                let s = c * v.sqrt();
-                (-s, 1.0 + s)
-            };
-            map_exp::<E>(r2, out, arg, sf2)
-        }
-        Correlation::Matern52 => {
-            let c = 5.0_f64.sqrt();
-            let arg = |v: f64| {
-                let s = c * v.sqrt();
-                (-s, 1.0 + s + s * s / 3.0)
-            };
-            map_exp::<E>(r2, out, arg, sf2)
-        }
     }
 }
 
@@ -343,8 +278,8 @@ mod port {
 /// The AVX2 + FMA compilations and the one-time detection.
 #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
 mod avx2 {
-    use super::port::{self, Port};
-    use super::{chol, correlate_body, map_exp, CholError, Correlation, Mat};
+    use super::port;
+    use super::{chol, CholError, Mat};
 
     /// Inputs where glibc's `exp` is not correctly rounded: a libm that
     /// rounds correctly (glibc before 2.28, or another libm) disagrees with
@@ -393,16 +328,6 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2,fma")]
-    pub(super) fn exp_into(x: &[f64], out: &mut [f64]) {
-        map_exp::<Port>(x, out, |v| (v, 1.0), 1.0);
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) fn correlate(kind: Correlation, sf2: f64, r2: &[f64], out: &mut [f64]) {
-        correlate_body::<Port>(kind, sf2, r2, out);
-    }
-
-    #[target_feature(enable = "avx2,fma")]
     pub(super) fn factor_into(a: &Mat, jitter: f64, out: &mut Mat) -> Result<(), CholError> {
         chol::factor_into(a, jitter, out)
     }
@@ -444,11 +369,19 @@ mod tests {
         }
     }
 
-    /// `exp_into` on one value.
+    /// The lane `exp` on one value, through every compilation that runs
+    /// here; all must agree before the value is returned.
     fn exp1(x: f64) -> f64 {
-        let mut out = [0.0];
-        exp_into(&[x], &mut out);
-        out[0]
+        let src = [[x; LANES]];
+        let mut base = [[f64::NAN; LANES]];
+        lanes::baseline::map_exp(&src, &mut base, |v| (v, 1.0), [1.0; LANES]);
+        if featured() {
+            let mut fast = [[f64::NAN; LANES]];
+            // SAFETY: both target features were detected just above.
+            unsafe { lanes::avx2::map_exp(&src, &mut fast, |v| (v, 1.0), [1.0; LANES]) };
+            assert_eq!(format!("{fast:?}"), format!("{base:?}"), "x = {x:e}");
+        }
+        base[0][0]
     }
 
     #[test]
@@ -507,7 +440,7 @@ mod tests {
     }
 
     #[test]
-    fn exp_into_matches_libm_at_the_edges_of_the_main_range() {
+    fn lane_exp_matches_libm_at_the_edges_of_the_main_range() {
         let tiny = 2f64.powi(-54);
         let edges = [
             tiny,
@@ -537,16 +470,22 @@ mod tests {
     }
 
     #[test]
-    fn exp_into_matches_libm_on_random_inputs() {
+    fn lane_exp_matches_libm_on_random_inputs() {
         let mut rng = SmallRng::seed_from_u64(0x5eed);
-        let mut xs = vec![0.0; 1000];
-        let mut out = vec![0.0; 1000];
+        let mut xs = vec![[0.0; LANES]; 250];
+        let mut base = vec![[0.0; LANES]; 250];
+        let mut fast = vec![[0.0; LANES]; 250];
         for _ in 0..1000 {
-            for x in &mut xs {
+            for x in xs.iter_mut().flatten() {
                 *x = rng.gen_range(-745.0..710.0);
             }
-            exp_into(&xs, &mut out);
-            for (&x, &y) in xs.iter().zip(&out) {
+            lanes::baseline::map_exp(&xs, &mut base, |v| (v, 1.0), [1.0; LANES]);
+            if featured() {
+                // SAFETY: both target features were detected just above.
+                unsafe { lanes::avx2::map_exp(&xs, &mut fast, |v| (v, 1.0), [1.0; LANES]) };
+                assert_eq!(fast, base);
+            }
+            for (&x, &y) in xs.iter().flatten().zip(base.iter().flatten()) {
                 assert_same_bits(y, x.exp(), &format!("x = {x:e}"));
             }
         }
@@ -580,21 +519,41 @@ mod tests {
         }
     }
 
+    /// Both compilations of the lane correlation pass for family `R`; they
+    /// must agree, and the baseline's values are returned.
+    fn correlate_lanes<R: lanes::Rho>(r2: &[[f64; LANES]], sf2: [f64; LANES]) -> Vec<[f64; LANES]> {
+        let mut base = vec![[f64::NAN; LANES]; r2.len()];
+        lanes::baseline::map_exp(r2, &mut base, R::arg, sf2);
+        if featured() {
+            let mut fast = vec![[f64::NAN; LANES]; r2.len()];
+            // SAFETY: both target features were detected just above.
+            unsafe { lanes::avx2::map_exp(r2, &mut fast, R::arg, sf2) };
+            for (f, b) in fast.iter().flatten().zip(base.iter().flatten()) {
+                assert_eq!(f.to_bits(), b.to_bits());
+            }
+        }
+        base
+    }
+
     #[test]
-    fn correlate_matches_the_scalar_kernel_for_every_family() {
+    fn lane_correlation_matches_the_scalar_kernel_for_every_family() {
         let mut rng = SmallRng::seed_from_u64(17);
         for kind in [Correlation::SquaredExp, Correlation::Matern32, Correlation::Matern52] {
             for n in [0usize, 1, 3, 4, 7, 45, 1000] {
-                let r2 = random_r2(&mut rng, n);
-                let sf2 = rng.gen_range(0.05..20.0);
-                let mut out = vec![f64::NAN; n];
-                correlate(kind, sf2, &r2, &mut out);
-                let mut base = vec![f64::NAN; n];
-                correlate_body::<Libm>(kind, sf2, &r2, &mut base);
-                for ((&v, &got), &b) in r2.iter().zip(&out).zip(&base) {
-                    let want = scalar_entry(kind, sf2, v);
-                    assert_same_bits(got, want, &format!("{kind:?} r2 = {v:e}"));
-                    assert_same_bits(b, want, &format!("{kind:?} baseline r2 = {v:e}"));
+                let flat = random_r2(&mut rng, n * LANES);
+                let r2: Vec<[f64; LANES]> =
+                    flat.chunks_exact(LANES).map(|c| [c[0], c[1], c[2], c[3]]).collect();
+                let sf2 = [(); LANES].map(|_| rng.gen_range(0.05..20.0));
+                let got = match kind {
+                    Correlation::SquaredExp => correlate_lanes::<lanes::SquaredExp>(&r2, sf2),
+                    Correlation::Matern32 => correlate_lanes::<lanes::Matern32>(&r2, sf2),
+                    Correlation::Matern52 => correlate_lanes::<lanes::Matern52>(&r2, sf2),
+                };
+                for (v, g) in r2.iter().zip(&got) {
+                    for t in 0..LANES {
+                        let want = scalar_entry(kind, sf2[t], v[t]);
+                        assert_same_bits(g[t], want, &format!("{kind:?} r2 = {:e}", v[t]));
+                    }
                 }
             }
         }

@@ -39,11 +39,11 @@ pub mod optimize;
 pub mod sampling;
 pub mod stats;
 
-pub use chol::{Chol, CholError, CholWorkspace};
+pub use chol::{Chol, CholError};
 pub use mat::Mat;
 pub use optimize::{
-    multi_start_nelder_mead, multi_start_nelder_mead_with, nelder_mead, NelderMeadOptions,
-    OptResult,
+    lockstep_nelder_mead, multi_start_nelder_mead, multi_start_nelder_mead_with, multi_starts,
+    nelder_mead, LaneGroup, LaneObjective, NelderMead, NelderMeadOptions, OptResult, LANES,
 };
 pub use sampling::{latin_hypercube, SampleRange};
 pub use stats::{bits_eq, is_exact_zero, norm_cdf, norm_pdf, norm_quantile, OnlineStats, Summary};

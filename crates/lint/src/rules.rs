@@ -258,6 +258,7 @@ const HOT_PATHS: &[&str] = &[
     "crates/gp/src/workspace.rs",
     "crates/linalg/src/chol.rs",
     "crates/linalg/src/fastpath.rs",
+    "crates/linalg/src/fastpath/lanes.rs",
     "crates/linalg/src/mat.rs",
 ];
 

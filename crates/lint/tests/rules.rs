@@ -134,6 +134,7 @@ fn hot_index_fires_in_every_pinned_hot_path() {
         "crates/gp/src/fit.rs",
         "crates/linalg/src/chol.rs",
         "crates/linalg/src/fastpath.rs",
+        "crates/linalg/src/fastpath/lanes.rs",
         "crates/cloudsim/src/sim.rs",
     ] {
         let rules = fired(hot, "hot_index_bad.rs");
