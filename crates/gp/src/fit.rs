@@ -264,16 +264,8 @@ impl<'a> Likelihood<'a> {
         family: KernelFamily,
         opts: &'a FitOptions,
     ) -> Self {
-        assert!(dist.n() >= 1, "Likelihood: no observations");
-        assert_eq!(z.len(), dist.n(), "Likelihood: target count");
-        let problem = NlmlProblem {
-            kind: correlation_of(family),
-            planes: dist.planes(),
-            n: dist.n(),
-            dim: dist.dim(),
-            z,
-            jitter: NLML_JITTER,
-        };
+        let kind = correlation_of(family);
+        let problem = NlmlProblem::new(kind, dist.planes(), dist.n(), dist.dim(), z, NLML_JITTER);
         Likelihood { problem, opts }
     }
 
@@ -288,7 +280,7 @@ impl<'a> Likelihood<'a> {
     pub fn eval(&self, scratch: &mut NlmlScratch, thetas: &[&[f64]], out: &mut [f64]) {
         assert!(thetas.len() <= LANES, "Likelihood::eval: {} θ", thetas.len());
         assert!(out.len() >= thetas.len(), "Likelihood::eval: output too short");
-        let d = self.problem.dim;
+        let d = self.problem.dim();
         let mut inside: [&[f64]; LANES] = [&[]; LANES];
         let mut slot = [0usize; LANES];
         let mut m = 0;
@@ -321,7 +313,7 @@ impl LaneObjective for Likelihood<'_> {
     type Scratch = NlmlScratch;
 
     fn answer_eagerly(&self, scratch: &mut NlmlScratch, theta: &[f64]) -> Option<f64> {
-        if theta_in_bounds(theta, self.problem.dim, self.opts) {
+        if theta_in_bounds(theta, self.problem.dim(), self.opts) {
             return None;
         }
         scratch.counters.evaluations += 1;
@@ -329,8 +321,12 @@ impl LaneObjective for Likelihood<'_> {
         Some(f64::INFINITY)
     }
 
+    /// Every θ here passed [`answer_eagerly`](Self::answer_eagerly)'s wall
+    /// test, so the whole batch goes to the lanes without a second one.
     fn eval_lanes(&self, scratch: &mut NlmlScratch, thetas: &[&[f64]], out: &mut [f64]) {
-        self.eval(scratch, thetas, out);
+        scratch.counters.evaluations += thetas.len() as u64;
+        scratch.counters.batches += 1;
+        scratch.lanes.eval(&self.problem, thetas, out);
     }
 }
 

@@ -1,16 +1,19 @@
-//! GP likelihood fast path: a bit-exact port of glibc's `exp` and AVX2
-//! compilations of the likelihood kernels, chosen once per process.
+//! GP likelihood fast path: bit-exact ports of glibc's `exp` and `log` and
+//! AVX2 compilations of the likelihood kernels, chosen once per process.
 //!
 //! Every marginal-likelihood evaluation of a GP fit fills a kernel matrix
-//! (one `exp` per pair of observations), factors it and runs one forward
-//! solve. The matrices are small (n = 2 to 30 or so in a search), too
-//! narrow for vectors within one matrix, so the likelihood is evaluated for
-//! [`LANES`] hyperparameter vectors at once, one AVX2 `f64` lane each:
-//! [`NlmlLanes`] (in `fastpath/lanes.rs`) holds that evaluator, from the
-//! distance planes to the final sum. It and the single-matrix Cholesky
-//! factorisation and forward solve behind [`crate::Chol`] are each compiled
-//! twice from one source: once for the baseline target and once under
-//! `#[target_feature(enable = "avx2,fma")]`.
+//! (one `exp` per pair of observations), factors it, runs one forward
+//! solve and sums `ln L_jj`. The matrices are small (n = 2 to 30 or so in
+//! a search), too narrow for vectors within one matrix, so the likelihood
+//! is evaluated for [`LANES`] hyperparameter vectors at once, one AVX2
+//! `f64` lane each: [`NlmlLanes`] (in `fastpath/lanes.rs`) holds that
+//! evaluator, from the distance planes to the final sum. It and the
+//! single-matrix Cholesky factorisation and forward solve behind
+//! [`crate::Chol`] are each compiled twice from one source: once for the
+//! baseline target and once under `#[target_feature(enable = "avx2,fma")]`.
+//! The evaluator's passes after the correlation are written against a
+//! four-lane value type (`fastpath/vector.rs`): `[f64; 4]` in the baseline
+//! compilation, one `__m256d` in the AVX2 one.
 //!
 //! # The `exp` port
 //!
@@ -25,27 +28,36 @@
 //! outside the main range (tiny, huge, NaN, ±∞) are recomputed by
 //! [`f64::exp`] in a second pass that runs only when such an input occurs.
 //!
+//! # The `log` port
+//!
+//! `fastpath/log.rs` ports glibc's `__log_fma` the same way, on four
+//! lanes at once: its table path and its near-1 polynomial, fused where
+//! that build fuses. `1.0`, zero, subnormals, negatives, ±∞ and NaN go to
+//! [`f64::ln`] in a fix-up pass.
+//!
 //! # Why the AVX2 copies are bit-identical
 //!
 //! Rust never contracts `a * b + c` into a fused multiply-add, and every
 //! IEEE-754 add, multiply, divide and square root rounds the same at any
-//! vector width, so a loop that LLVM vectorises with AVX2 produces the
-//! same bits as its scalar compilation. The port's `mul_add`s are the only
-//! fused operations, and they are fused in glibc too. Lanes never mix: each
-//! lane performs the scalar evaluation's operations in the scalar order.
+//! vector width, so a loop that LLVM vectorises with AVX2, or that is
+//! written on `__m256d` one IEEE operation per lane at a time, produces
+//! the same bits as its scalar compilation. The ports' fused operations
+//! are the only ones, and they are fused in glibc too. Lanes never mix:
+//! each lane performs the scalar evaluation's operations in the scalar
+//! order.
 //!
 //! # Dispatch
 //!
 //! The AVX2 copies run only on x86_64 Linux with glibc, only when the CPU
 //! reports both `fma` and `avx2` (the condition under which glibc's ifunc
-//! picks `__exp_fma`), and only when a one-time self-check passes: the
-//! port must equal [`f64::exp`] bit for bit on probes covering every table
-//! index and on inputs where glibc's result is not the correctly rounded
-//! one (so a correctly rounding libm fails the check). Everywhere else
-//! every kernel takes its baseline compilation with libm's `exp`, which is
-//! the same code the fast path replaces. [`fast_path_enabled`] reports the
-//! choice; it is made once and cached, and neither it nor the self-check
-//! allocates.
+//! picks `__exp_fma` and `__log_fma`), and only when a one-time self-check
+//! passes: each port must equal libm bit for bit on probes covering every
+//! table index and on inputs where glibc's result is not the correctly
+//! rounded one (so a correctly rounding libm fails the check). Everywhere
+//! else every kernel takes its baseline compilation with libm's `exp` and
+//! `ln`, which is the same code the fast path replaces. One check decides
+//! the whole fast path. [`fast_path_enabled`] reports the choice; it is
+//! made once and cached, and neither it nor the self-check allocates.
 
 // lint: allow(hot-index, file) — the one real index is the exp table lookup, `2·(ki & 127)`
 // and `+ 1`, masked into 0..=255 for the 256-entry table and so in bounds by construction;
@@ -53,6 +65,9 @@
 // The rule's other hits here are slice types after `mut` and array literals after `in`.
 
 mod lanes;
+#[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+mod log;
+mod vector;
 
 pub use lanes::{NlmlLanes, NlmlProblem};
 
@@ -279,12 +294,13 @@ mod port {
 #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
 mod avx2 {
     use super::port;
+    use super::vector::Ymm;
     use super::{chol, CholError, Mat};
 
     /// Inputs where glibc's `exp` is not correctly rounded: a libm that
     /// rounds correctly (glibc before 2.28, or another libm) disagrees with
     /// the port on them and fails the self-check.
-    const MISROUNDED: [u64; 6] = [
+    const EXP_MISROUNDED: [u64; 6] = [
         0x4042_4ebd_d6c4_d0de, // 36.615…
         0xc043_7c27_3e71_c13b, // −38.969…
         0xc022_8496_a27b_c3dc, // −9.258…
@@ -293,38 +309,92 @@ mod avx2 {
         0xc03a_6454_8684_1297, // −26.391…
     ];
 
+    /// Inputs where glibc's `log` is not correctly rounded, as above.
+    const LOG_MISROUNDED: [u64; 8] = [
+        0x3ff0_744a_b6c0_77cf, // 1.028…
+        0x3ffb_2a6c_c0fe_8963, // 1.697…
+        0x3fef_a126_e761_8881, // 0.988…
+        0x3fee_ac54_fe12_fdc7, // 0.958…
+        0x4002_e228_118f_fb37, // 2.360…
+        0x3fe2_0096_5b25_9d77, // 0.562…
+        0x3ff0_3a75_a6a9_6177, // 1.014…
+        0x3ff0_7b40_effe_c12d, // 1.030…
+    ];
+
+    /// The edges of `log`'s near-1 window and the neighbours of 1.
+    const LOG_EDGES: [u64; 6] = [
+        0x3fed_ffff_ffff_ffff,
+        0x3fee_0000_0000_0000,
+        0x3fef_ffff_ffff_ffff,
+        0x3ff0_0000_0000_0001,
+        0x3ff1_08ff_ffff_ffff,
+        0x3ff1_0900_0000_0000,
+    ];
+
+    /// A self-check probe on which a port disagreed with libm.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub(super) struct Mismatch {
+        /// `"exp"` or `"log"`.
+        pub(super) function: &'static str,
+        /// The input.
+        pub(super) x: f64,
+    }
+
     /// CPU check, then the self-check. Runs once per process.
     pub(super) fn detect() -> bool {
         if !(is_x86_feature_detected!("fma") && is_x86_feature_detected!("avx2")) {
             return false;
         }
         // SAFETY: both target features were detected just above.
-        unsafe { self_check() }
+        unsafe { first_mismatch() }.is_none()
     }
 
-    /// The port must equal [`f64::exp`] bit for bit on probes that hit
-    /// every table index at several exponents, and on [`MISROUNDED`].
+    /// The self-check: the first probe on which a port differs from libm,
+    /// or `None`. The `exp` port is probed on every table index at several
+    /// exponents and on [`EXP_MISROUNDED`]; the `log` port on every table
+    /// index at several exponents (some fall in the near-1 window), on
+    /// [`LOG_EDGES`] and on [`LOG_MISROUNDED`].
     #[target_feature(enable = "avx2,fma")]
-    fn self_check() -> bool {
+    pub(super) fn first_mismatch() -> Option<Mismatch> {
         let step = std::f64::consts::LN_2 / 128.0;
-        let mut ok = true;
         for k in 0..128i32 {
             for m in [-600i32, -7, 0, 1, 600] {
                 // Rounds to the table step 128·m + k, so `ki & 127 == k`.
                 let x = (f64::from(128 * m + k) + 0.3) * step;
-                ok &= probe(x);
+                if !exp_agrees(x) {
+                    return Some(Mismatch { function: "exp", x });
+                }
             }
         }
-        for bits in MISROUNDED {
-            ok &= probe(f64::from_bits(bits));
+        let exp_hard = EXP_MISROUNDED.map(f64::from_bits);
+        if let Some(&x) = exp_hard.iter().find(|&&x| !exp_agrees(x)) {
+            return Some(Mismatch { function: "exp", x });
         }
-        ok
+        for i in 0..128u64 {
+            for e in [-1020i64, -3, -1, 0, 1, 5, 1000] {
+                // The middle of subinterval i, scaled by 2^e.
+                let bits = 0x3fe6_0000_0000_0000 + (i << 45) + (1 << 44);
+                let x = f64::from_bits(bits.wrapping_add_signed(e << 52));
+                if !log_agrees(x) {
+                    return Some(Mismatch { function: "log", x });
+                }
+            }
+        }
+        let log_hard = LOG_EDGES.into_iter().chain(LOG_MISROUNDED).map(f64::from_bits);
+        log_hard.into_iter().find(|&x| !log_agrees(x)).map(|x| Mismatch { function: "log", x })
     }
 
     #[target_feature(enable = "avx2,fma")]
-    fn probe(x: f64) -> bool {
+    fn exp_agrees(x: f64) -> bool {
         let x = std::hint::black_box(x);
         port::covers(x) && port::exp(x).to_bits() == x.exp().to_bits()
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    fn log_agrees(x: f64) -> bool {
+        let x = std::hint::black_box(x);
+        let got = Ymm::splat(x).ln().to_array();
+        got.iter().all(|g| g.to_bits() == x.ln().to_bits())
     }
 
     #[target_feature(enable = "avx2,fma")]
@@ -361,12 +431,47 @@ mod tests {
         unsafe { port_exp(x) }
     }
 
-    fn assert_same_bits(got: f64, want: f64, what: &str) {
-        if want.is_nan() {
-            assert!(got.is_nan(), "{what}: {got:e} vs NaN");
-        } else {
-            assert_eq!(got.to_bits(), want.to_bits(), "{what}: {got:e} vs {want:e}");
+    /// The vector `log` port on four inputs.
+    fn port_ln(xs: [f64; LANES]) -> [f64; LANES] {
+        assert!(featured());
+        #[target_feature(enable = "avx2,fma")]
+        fn run(xs: [f64; LANES]) -> [f64; LANES] {
+            vector::Ymm::load(&xs).ln().to_array()
         }
+        // SAFETY: callers skip the test unless both features are present.
+        unsafe { run(xs) }
+    }
+
+    /// The `log` port on `xs`, four at a time, against `f64::ln`; returns
+    /// how many inputs were checked.
+    fn assert_ln_matches(xs: impl Iterator<Item = f64>) -> u64 {
+        let (mut batch, mut m, mut count) = ([1.0; LANES], 0, 0);
+        let check = |batch: [f64; LANES]| {
+            for (g, x) in port_ln(batch).into_iter().zip(batch) {
+                let want = x.ln();
+                assert!(same_bits(g, want), "log {x:e} ({:#x}): {g:e} vs {want:e}", x.to_bits());
+            }
+        };
+        for x in xs {
+            batch[m] = x;
+            m += 1;
+            count += 1;
+            if m == LANES {
+                check(batch);
+                m = 0;
+            }
+        }
+        check(batch);
+        count
+    }
+
+    /// The same bits, or both NaN.
+    fn same_bits(got: f64, want: f64) -> bool {
+        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
+    }
+
+    fn assert_same_bits(got: f64, want: f64, what: &str) {
+        assert!(same_bits(got, want), "{what}: {got:e} vs {want:e}");
     }
 
     /// The lane `exp` on one value, through every compilation that runs
@@ -436,6 +541,141 @@ mod tests {
             if port::covers(x) {
                 assert_same_bits(raw_port(x), x.exp(), &format!("x = {x:e}"));
             }
+        }
+    }
+
+    #[test]
+    #[ignore = "sweeps 10⁸ inputs; run with --ignored in release"]
+    fn exp_port_sweep_matches_libm() {
+        if !featured() {
+            eprintln!("exp sweep skipped: no avx2+fma");
+            return;
+        }
+        let mut rng = SmallRng::seed_from_u64(0xe4b5);
+        let mut checked = 0u64;
+        for i in 0..100_000_000u64 {
+            // Uniform draws over the main range alternate with log-uniform
+            // magnitudes down to its small end.
+            let x = if i % 2 == 0 {
+                rng.gen_range(-512.0..512.0)
+            } else {
+                let mag = rng.gen_range(-54.0f64..9.0).exp2();
+                if rng.gen::<bool>() {
+                    mag
+                } else {
+                    -mag
+                }
+            };
+            if port::covers(x) {
+                let (got, want) = (raw_port(x), x.exp());
+                assert!(
+                    same_bits(got, want),
+                    "exp {x:e} ({:#x}): {got:e} vs {want:e}",
+                    x.to_bits()
+                );
+                checked += 1;
+            }
+        }
+        eprintln!("exp sweep: {checked} inputs equal libm");
+        assert!(checked >= 99_000_000);
+    }
+
+    #[test]
+    fn log_port_matches_libm_on_every_table_index_and_special_input() {
+        if !featured() {
+            return;
+        }
+        // Every subinterval, at several offsets within it and many scales
+        // (subnormal and huge ones included), then the near-1 window's
+        // edges, 1 and its neighbours, and the inputs left to libm.
+        let mut xs = Vec::new();
+        for i in 0..128u64 {
+            for off in [0u64, 1, 1 << 20, 1 << 44, (1 << 45) - 1] {
+                for e in [-1074i64, -1030, -1022, -200, -2, -1, 0, 1, 2, 300, 1023, 1024] {
+                    let bits =
+                        (0x3fe6_0000_0000_0000 + (i << 45) + off).wrapping_add_signed(e << 52);
+                    xs.push(f64::from_bits(bits));
+                }
+            }
+        }
+        for edge in [0x3fee_0000_0000_0000u64, 0x3ff1_0900_0000_0000, 0x3ff0_0000_0000_0000] {
+            for d in -3i64..=3 {
+                xs.push(f64::from_bits(edge.wrapping_add_signed(d)));
+            }
+        }
+        let specials = [
+            0.0,
+            -0.0,
+            -1.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE.next_down(),
+            f64::from_bits(1),
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        xs.extend(specials);
+        assert_ln_matches(xs.into_iter());
+    }
+
+    #[test]
+    fn log_port_matches_libm_on_random_inputs() {
+        if !featured() {
+            return;
+        }
+        let mut rng = SmallRng::seed_from_u64(0x109);
+        let xs = (0..1_000_000).map(|i| match i % 3 {
+            0 => f64::from_bits(rng.gen_range(0x0010_0000_0000_0000..0x7ff0_0000_0000_0000)),
+            1 => rng.gen_range(0.9..1.1),
+            _ => rng.gen_range(-12.0f64..12.0).exp2(),
+        });
+        assert_ln_matches(xs);
+    }
+
+    #[test]
+    #[ignore = "sweeps 10⁸ inputs; run with --ignored in release"]
+    fn log_port_sweep_matches_libm() {
+        if !featured() {
+            eprintln!("log sweep skipped: no avx2+fma");
+            return;
+        }
+        // A third over every positive normal bit pattern, a third across
+        // the near-1 window and its surroundings, a third log-uniform over
+        // the magnitudes a factor's diagonal takes.
+        let mut rng = SmallRng::seed_from_u64(0x1095);
+        let xs = (0..100_000_000u64).map(|i| match i % 3 {
+            0 => f64::from_bits(rng.gen_range(0x0010_0000_0000_0000..0x7ff0_0000_0000_0000)),
+            1 => rng.gen_range(0.9..1.1),
+            _ => rng.gen_range(-40.0f64..40.0).exp2(),
+        });
+        let checked = assert_ln_matches(xs);
+        eprintln!("log sweep: {checked} inputs equal libm");
+    }
+
+    #[test]
+    #[ignore = "a report for CI logs; run with --ignored --nocapture"]
+    fn report_fast_path_selection() {
+        if !featured() {
+            println!("fast path: off (the CPU lacks avx2 or fma)");
+        } else if fast_path_enabled() {
+            println!("fast path: on (avx2+fma, the exp and log ports equal libm on every probe)");
+        } else {
+            // SAFETY: both target features were detected just above.
+            let m = unsafe { avx2::first_mismatch() }.expect("the self-check failed on some probe");
+            let port = match m.function {
+                "exp" => raw_port(m.x),
+                _ => port_ln([m.x; LANES])[0],
+            };
+            let libm = if m.function == "exp" { m.x.exp() } else { m.x.ln() };
+            println!(
+                "fast path: off; first disagreeing probe {}({:e} = {:#x}): port {:e}, libm {:e}",
+                m.function,
+                m.x,
+                m.x.to_bits(),
+                port,
+                libm
+            );
         }
     }
 

@@ -8,6 +8,15 @@
 //! element for all four θ and every pass runs on full vectors however
 //! small the matrix is.
 //!
+//! The accumulation and the passes after the correlation are written once
+//! against a four-lane value type `V` (`fastpath/vector.rs`) and compiled
+//! twice:
+//! with `V = [f64; 4]` and libm for the baseline, and with `V` one
+//! `__m256d` and the `exp`/`log` ports under `avx2,fma`. The factor is
+//! stored by rows (row `i` at `i(i+1)/2`), so each of its elements is a
+//! dot product over two contiguous rows, and the forward solve and `Σ y²`
+//! run inside it, one row per finished column.
+//!
 //! # Per lane, the scalar operation sequence
 //!
 //! Each lane performs the operations of a one-θ evaluation in that
@@ -15,16 +24,22 @@
 //!
 //! - `exp(θ)` (the port, with `f64::exp` for off-range inputs), then
 //!   `1.0 / (ℓ·ℓ)` per dimension;
-//! - the squared distances accumulated from `0.0` over the dim-major planes
-//!   in 4-dimension blocks, then the remainder, in ascending dimension;
+//! - the squared distances accumulated from `0.0` over the dim-major
+//!   planes, in ascending dimension;
 //! - the correlation `sf2 · (poly · exp(x))` of each pair, with inputs off
 //!   the port's main range (duplicate inputs give `exp(−0)`) recomputed by
 //!   `f64::exp`;
 //! - the diagonal `sf2`, then `+ sn2`, then `+ jitter`;
-//! - the left-looking Cholesky, 4-column blocks then the remainder, whose
-//!   zero-`l_jk` skip is a per-lane select; then the pivot test, the square
-//!   root and the divide;
-//! - the forward solve, `Σ y²`, `(Σ ln L_jj) · 2` and
+//! - the Cholesky: each element's subtractions `− L_ik·L_jk` in ascending
+//!   `k`, those of the last `j mod 4` columns skipped where `L_jk` is
+//!   zero (a per-lane select), as the scalar body's 4-column blocks and
+//!   remainder do; then the pivot test, `root = √pivot`, and every entry
+//!   of the column, the diagonal included, divided by `root`;
+//! - the forward solve by rows, `y_j = (z_j − Σ_{k<j} L_jk·y_k) / L_jj`,
+//!   which performs the scalar column-oriented solve's subtractions in
+//!   the same order;
+//! - `Σ y²` and `Σ ln L_jj` in ascending `j` (the `log` port, with
+//!   `f64::ln` for the inputs it leaves to libm), `(Σ ln L_jj) · 2` and
 //!   `0.5·quad + 0.5·logdet + 0.5·n·ln 2π`.
 //!
 //! A lane whose pivot fails retries with its own jitter,
@@ -34,48 +49,65 @@
 //! out of tries returns `+∞`. Lanes never read each other's elements, so a
 //! failing lane's values cannot reach another lane.
 //!
-//! No `mul_add` appears outside the `exp` port: Rust never contracts
-//! `a * b + c`, so the AVX2 compilation rounds exactly as the baseline one.
+//! No `mul_add` appears outside the `exp` and `log` ports: Rust never
+//! contracts `a * b + c`, so the AVX2 compilation rounds exactly as the
+//! baseline one.
 
 // lint: allow(hot-index, file) — lane loops index `[f64; LANES]` arrays with `t < LANES`, element
 // loops index slices of the element count they run to, and the packed-factor offsets are bounded
-// by the order `n` checked in `NlmlProblem::check`; indexing keeps the loops straight-line so LLVM
-// packs each element's lanes into one vector.
+// by the order `n` that `NlmlProblem::new` checked against the planes and targets; indexing keeps
+// the loops straight-line.
 
+use super::vector::Lanes;
 use super::{Correlation, LANES};
 
-/// One element for every lane.
-type Lanes = [f64; LANES];
-
-/// What a likelihood evaluation runs over: the fit's fixed data.
+/// What a likelihood evaluation runs over: the fit's fixed data, checked
+/// for consistency once, when it is built.
 #[derive(Debug, Clone, Copy)]
 pub struct NlmlProblem<'a> {
-    /// The correlation family.
-    pub kind: Correlation,
-    /// Pairwise squared differences, dimension-major: entry
-    /// `d·n(n−1)/2 + p` for the pairs `(i, j)`, `j = 0..n`, `i = j+1..n`
-    /// (the strict lower triangle in column order).
-    pub planes: &'a [f64],
-    /// Number of observations (at least 1).
-    pub n: usize,
-    /// Input dimensionality; θ has `dim + 2` entries
-    /// `[log σ_f², log ℓ₁…log ℓ_d, log σ_n²]`.
-    pub dim: usize,
-    /// Standardised targets, one per observation.
-    pub z: &'a [f64],
-    /// Jitter policy: the base relative jitter and the number of retries.
-    pub jitter: (f64, usize),
+    kind: Correlation,
+    planes: &'a [f64],
+    n: usize,
+    dim: usize,
+    z: &'a [f64],
+    jitter: (f64, usize),
 }
 
-impl NlmlProblem<'_> {
-    fn pairs(&self) -> usize {
-        self.n * (self.n - 1) / 2
+impl<'a> NlmlProblem<'a> {
+    /// The problem of `n` observations in `dim` dimensions:
+    ///
+    /// - `kind`: the correlation family;
+    /// - `planes`: pairwise squared differences, dimension-major: entry
+    ///   `d·n(n−1)/2 + p` for the pairs `(i, j)`, `j = 0..n`,
+    ///   `i = j+1..n` (the strict lower triangle in column order);
+    /// - `z`: standardised targets, one per observation;
+    /// - `jitter`: the base relative jitter and the number of retries.
+    ///
+    /// θ then has `dim + 2` entries `[log σ_f², log ℓ₁…log ℓ_d, log σ_n²]`.
+    ///
+    /// # Panics
+    /// Panics if `n` is 0, or `z` or `planes` has the wrong length.
+    pub fn new(
+        kind: Correlation,
+        planes: &'a [f64],
+        n: usize,
+        dim: usize,
+        z: &'a [f64],
+        jitter: (f64, usize),
+    ) -> Self {
+        assert!(n >= 1, "NlmlProblem: no observations");
+        assert_eq!(z.len(), n, "NlmlProblem: target count");
+        assert_eq!(planes.len(), dim * n * (n - 1) / 2, "NlmlProblem: plane size");
+        NlmlProblem { kind, planes, n, dim, z, jitter }
     }
 
-    fn check(&self) {
-        assert!(self.n >= 1, "NlmlProblem: no observations");
-        assert_eq!(self.z.len(), self.n, "NlmlProblem: target count");
-        assert_eq!(self.planes.len(), self.dim * self.pairs(), "NlmlProblem: plane size");
+    /// Input dimensionality.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    fn pairs(&self) -> usize {
+        self.n * (self.n - 1) / 2
     }
 }
 
@@ -88,7 +120,7 @@ pub struct NlmlLanes {
     inv_l2: Vec<Lanes>,
     r2: Vec<Lanes>,
     entries: Vec<Lanes>,
-    /// The factor's lower triangle, packed by column.
+    /// The factor's lower triangle, packed by row.
     l: Vec<Lanes>,
     y: Vec<Lanes>,
 }
@@ -120,10 +152,9 @@ impl NlmlLanes {
     /// lanes repeat the first θ.
     ///
     /// # Panics
-    /// Panics on an inconsistent problem, on zero or more than [`LANES`]
-    /// θ, on a θ of the wrong length, or on a short `out`.
+    /// Panics on zero or more than [`LANES`] θ, on a θ of the wrong
+    /// length, or on a short `out`.
     pub fn eval(&mut self, problem: &NlmlProblem<'_>, thetas: &[&[f64]], out: &mut [f64]) {
-        problem.check();
         let m = thetas.len();
         assert!((1..=LANES).contains(&m), "NlmlLanes::eval: {m} θ");
         assert!(out.len() >= m, "NlmlLanes::eval: output too short");
@@ -180,18 +211,23 @@ impl Rho for Matern52 {
 }
 
 /// The evaluator's body, written once and compiled twice: `baseline`
-/// with libm's `exp`, and `avx2` with the port under
+/// with libm's `exp` and the `[f64; 4]` lane value, and `avx2` with the
+/// ports and the `__m256d` one under
 /// `#[target_feature(enable = "avx2,fma")]`.
 ///
-/// Each pass is its own function so that LLVM vectorises its loops on
-/// their own (inlined into one large function, the `exp` loop stays
-/// scalar). Calls between functions with the same target features are
-/// safe, so the only `unsafe` is the dispatch into `avx2::nlml`.
+/// Each pass is its own function so that LLVM compiles its loops on their
+/// own (inlined into one large function, the `exp` loop stays scalar).
+/// Calls between functions with the same target features are safe, so the
+/// kernel's only `unsafe` is the dispatch into `avx2::nlml`; the lane
+/// value's loads, stores and table lookups carry their own.
 macro_rules! lane_kernels {
-    ($exp:ty $(, #[$feature:meta])?) => {
+    ($exp:ty, $v:ty $(, #[$feature:meta])?) => {
         use super::{Lanes, NlmlLanes, NlmlProblem, Rho, LANES};
         use super::{Matern32, Matern52, SquaredExp};
         use crate::fastpath::{Correlation, Exp};
+
+        /// The lane value this compilation runs on.
+        type V = $v;
 
         /// The negative log marginal likelihood of every lane's θ.
         $(#[$feature])?
@@ -212,31 +248,27 @@ macro_rules! lane_kernels {
             let (sf2, sn2) = (s.exp_theta[0], s.exp_theta[dim + 1]);
             s.inv_l2.clear();
             for l in &s.exp_theta[1..=dim] {
-                let mut inv = [0.0; LANES];
-                for t in 0..LANES {
-                    inv[t] = 1.0 / (l[t] * l[t]);
-                }
-                s.inv_l2.push(inv);
+                let l = V::load(l);
+                s.inv_l2.push(V::splat(1.0).div(l.mul(l)).to_array());
             }
 
             accumulate(p.planes, np, &s.inv_l2, &mut s.r2);
-            // Every entry and every element of the factor's lower triangle
-            // is written before it is read, so neither buffer is cleared.
+            // Every entry, every element of the factor's lower triangle
+            // and every y is written before it is read, so no buffer is
+            // cleared.
             s.entries.resize(np, [0.0; LANES]);
             map_exp(&s.r2, &mut s.entries, R::arg, sf2);
 
             // K's diagonal is sf2 + sn2; each lane retries with its own jitter.
-            let mut diag = [0.0; LANES];
-            for t in 0..LANES {
-                diag[t] = sf2[t] + sn2[t];
-            }
+            let diag = V::load(&sf2).add(V::load(&sn2)).to_array();
             s.l.resize(n * (n + 1) / 2, [0.0; LANES]);
+            s.y.resize(n, [0.0; LANES]);
             let (base, max_tries) = p.jitter;
             let mut jitter = [0.0; LANES];
             let mut tries = [0usize; LANES];
             let mut dead = [false; LANES];
-            loop {
-                let failed = factor(n, diag, jitter, &s.entries, &mut s.l);
+            let quad = loop {
+                let (failed, quad) = factor(diag, jitter, &s.entries, p.z, &mut s.l, &mut s.y);
                 let mut again = false;
                 for t in 0..LANES {
                     if !failed[t] || dead[t] {
@@ -259,11 +291,11 @@ macro_rules! lane_kernels {
                     again = true;
                 }
                 if !again {
-                    break;
+                    break quad;
                 }
-            }
+            };
 
-            let (quad, log_sum) = solve(n, &s.l, p.z, &mut s.y);
+            let log_sum = log_diagonal(&s.l);
             let mut out = [0.0; LANES];
             for t in 0..LANES {
                 out[t] = if dead[t] {
@@ -309,224 +341,160 @@ macro_rules! lane_kernels {
                     }
                 }
             }
-            super::zip_each(out, [] as [&[f64]; 0], |o, []| {
-                for t in 0..LANES {
-                    o[t] *= scale[t];
-                }
-            });
+            let scale = V::load(&scale);
+            for o in out {
+                V::load(o).mul(scale).store(o);
+            }
         }
 
-        /// `acc[p][t] = Σ_d planes[d][p] · inv_l2[d][t]`, accumulated from
-        /// `0.0` four dimension planes per pass and then the remainder.
-        /// Each element still receives its contributions one `d` at a time
-        /// in ascending order.
+        /// `acc[p] = Σ_d planes[d][p] · inv_l2[d]` for the `np` pairs,
+        /// four pairs per pass over the dimensions.
         #[inline(never)]
         $(#[$feature])?
         fn accumulate(planes: &[f64], np: usize, inv_l2: &[Lanes], acc: &mut Vec<Lanes>) {
-            acc.clear();
             acc.resize(np, [0.0; LANES]);
-            let dim = inv_l2.len();
-            let mut d = 0;
-            while d + 4 <= dim {
-                let (i0, i1, i2, i3) = (inv_l2[d], inv_l2[d + 1], inv_l2[d + 2], inv_l2[d + 3]);
-                let block = &planes[d * np..(d + 4) * np];
-                let (s0, rest) = block.split_at(np);
-                let (s1, rest) = rest.split_at(np);
-                let (s2, s3) = rest.split_at(np);
-                super::zip_each(acc, [s0, s1, s2, s3], |a, [&a0, &a1, &a2, &a3]| {
-                    for t in 0..LANES {
-                        let mut v = a[t];
-                        v += a0 * i0[t];
-                        v += a1 * i1[t];
-                        v += a2 * i2[t];
-                        v += a3 * i3[t];
-                        a[t] = v;
-                    }
-                });
-                d += 4;
+            let (blocks, rest) = acc.as_chunks_mut::<4>();
+            for (b, out) in blocks.iter_mut().enumerate() {
+                accumulate_pairs(planes, np, 4 * b, inv_l2, out);
             }
-            for (d, inv) in inv_l2.iter().enumerate().skip(d) {
-                let sq = &planes[d * np..(d + 1) * np];
-                super::zip_each(acc, [sq], |a, [&s]| {
-                    for t in 0..LANES {
-                        a[t] += s * inv[t];
-                    }
-                });
+            let first = np - rest.len();
+            for (e, out) in rest.iter_mut().enumerate() {
+                accumulate_pairs(planes, np, first + e, inv_l2, std::array::from_mut(out));
             }
+        }
+
+        /// `out[k] = Σ_d planes[d][p + k] · inv_l2[d]` for `k < K`, each
+        /// accumulated from `0.0` in ascending `d`.
+        #[inline]
+        $(#[$feature])?
+        fn accumulate_pairs<const K: usize>(
+            planes: &[f64],
+            np: usize,
+            p: usize,
+            inv_l2: &[Lanes],
+            out: &mut [Lanes; K],
+        ) {
+            let mut v = [V::splat(0.0); K];
+            for (d, inv) in inv_l2.iter().enumerate() {
+                let inv = V::load(inv);
+                let sq = &planes[d * np + p..][..K];
+                for k in 0..K {
+                    v[k] = v[k].add(V::splat(sq[k]).mul(inv));
+                }
+            }
+            for (a, v) in out.iter_mut().zip(v) {
+                v.store(a);
+            }
+        }
+
+        /// `v − Σ_k a[k]·b[k]`, one subtraction at a time in ascending `k`.
+        #[inline]
+        $(#[$feature])?
+        fn sub_dot(mut v: V, a: &[Lanes], b: &[Lanes]) -> V {
+            for (x, y) in a.iter().zip(b) {
+                v = v.sub(V::load(x).mul(V::load(y)));
+            }
+            v
+        }
+
+        /// [`sub_dot`] over `k < b.len()`, except that in the last
+        /// `b.len() mod 4` terms a lane skips its subtraction where its
+        /// `b[k]` is zero, as the scalar factor's remainder columns do.
+        #[inline]
+        $(#[$feature])?
+        fn sub_dot_skipping_zeros(v: V, a: &[Lanes], b: &[Lanes]) -> V {
+            let blocked = b.len() - b.len() % 4;
+            let mut v = sub_dot(v, &a[..blocked], &b[..blocked]);
+            for (x, y) in a[blocked..b.len()].iter().zip(&b[blocked..]) {
+                let y = V::load(y);
+                v = y.is_zero().select(v, v.sub(V::load(x).mul(y)));
+            }
+            v
         }
 
         /// Factor every lane's `K + jitter·I` into `l` (lower triangle
-        /// packed by column: column `j` holds rows `j..n`). Column `j` is
-        /// copied in from the diagonal and the pair entries as the
-        /// factorisation reaches it, so a retry starts from K exactly.
-        /// Returns the lanes that hit a non-positive or non-finite pivot.
+        /// packed by row: row `i` at `i(i+1)/2` holds columns `0..=i`), one
+        /// column at a time from `diag` and the pair `entries` (column
+        /// `j`'s pairs follow column `j − 1`'s), so a retry starts from K
+        /// exactly. As each column is finished, the forward solve
+        /// `L y = z` gains its row `j`.
+        ///
+        /// Returns the lanes that hit a non-positive or non-finite pivot,
+        /// and each lane's `Σ y²`.
         #[inline(never)]
         $(#[$feature])?
         pub(in crate::fastpath) fn factor(
-            n: usize,
             diag: Lanes,
             jitter: Lanes,
             entries: &[Lanes],
+            z: &[f64],
             l: &mut [Lanes],
-        ) -> [bool; LANES] {
+            y: &mut [Lanes],
+        ) -> ([bool; LANES], Lanes) {
+            let n = z.len();
+            let d0 = V::load(&diag).add(V::load(&jitter));
             let mut failed = [false; LANES];
-            // `oj`: column j's offset in `l`; `pj`: its first pair in `entries`.
-            let (mut oj, mut pj) = (0, 0);
+            let mut quad = V::splat(0.0);
+            // `rj`: row j's offset in `l`; `pj`: column j's first pair in `entries`.
+            let (mut rj, mut pj) = (0, 0);
             for j in 0..n {
-                let len = n - j;
-                let (done, rest) = l.split_at_mut(oj);
-                let col = &mut rest[..len];
+                let (above, below) = l.split_at_mut(rj + j);
+                let row_j = &above[rj..];
+                let pivot = sub_dot_skipping_zeros(d0, row_j, row_j);
+                let good = pivot.is_positive_finite().set_lanes();
                 for t in 0..LANES {
-                    col[0][t] = diag[t] + jitter[t];
+                    failed[t] |= !good[t];
                 }
-                col[1..].copy_from_slice(&entries[pj..pj + len - 1]);
-                // Left-looking update from the finished columns k < j,
-                // whose rows j..n sit at done[ok + (j − k)..ok + (n − k)],
-                // four per pass.
-                let rows = |k: usize, ok: usize| &done[ok + j - k..ok + n - k];
-                let (mut k, mut ok) = (0, 0);
-                while k + 4 <= j {
-                    let o1 = ok + n - k;
-                    let o2 = o1 + n - k - 1;
-                    let o3 = o2 + n - k - 2;
-                    let (c0, c1, c2, c3) =
-                        (rows(k, ok), rows(k + 1, o1), rows(k + 2, o2), rows(k + 3, o3));
-                    let (l0, l1, l2, l3) = (c0[0], c1[0], c2[0], c3[0]);
-                    super::zip_each(col, [c0, c1, c2, c3], |x, [a0, a1, a2, a3]| {
-                        for t in 0..LANES {
-                            let mut v = x[t];
-                            v -= a0[t] * l0[t];
-                            v -= a1[t] * l1[t];
-                            v -= a2[t] * l2[t];
-                            v -= a3[t] * l3[t];
-                            x[t] = v;
-                        }
-                    });
-                    ok = o3 + n - k - 3;
-                    k += 4;
+                let root = pivot.sqrt();
+                let ljj = pivot.div(root);
+                ljj.store(&mut below[0]);
+                // Row i > j starts at i(i+1)/2, `below[ri − rj − j]`.
+                let mut ri = rj + j + 1;
+                for (i, e) in (j + 1..n).zip(&entries[pj..pj + n - j - 1]) {
+                    let row_i = &mut below[ri - rj - j..ri - rj + 1];
+                    let v = sub_dot_skipping_zeros(V::load(e), &row_i[..j], row_j);
+                    v.div(root).store(&mut row_i[j]);
+                    ri += i + 1;
                 }
-                for k in k..j {
-                    let ck = rows(k, ok);
-                    let ljk = ck[0];
-                    let mut skip = [false; LANES];
-                    for t in 0..LANES {
-                        skip[t] = crate::is_exact_zero(ljk[t]);
-                    }
-                    super::zip_each(col, [ck], |x, [a]| {
-                        for t in 0..LANES {
-                            x[t] = super::select(skip[t], x[t], x[t] - a[t] * ljk[t]);
-                        }
-                    });
-                    ok += n - k;
-                }
-                let mut root = [0.0; LANES];
-                for t in 0..LANES {
-                    let pivot = col[0][t];
-                    failed[t] |= pivot <= 0.0 || !pivot.is_finite();
-                    root[t] = pivot.sqrt();
-                }
-                super::zip_each(col, [] as [&[f64]; 0], |x, []| {
-                    for t in 0..LANES {
-                        x[t] /= root[t];
-                    }
-                });
-                oj += len;
-                pj += len - 1;
+                let yj = sub_dot(V::splat(z[j]), row_j, &y[..j]).div(ljj);
+                yj.store(&mut y[j]);
+                quad = quad.add(yj.mul(yj));
+                rj += j + 1;
+                pj += n - j - 1;
             }
-            failed
+            (failed, quad.to_array())
         }
 
-        /// The forward solve `L y = z` in every lane, then `Σ y²` and
-        /// `Σ ln L_jj`.
+        /// `Σ_j ln L_jj` over a row-packed factor, in ascending `j`.
         #[inline(never)]
         $(#[$feature])?
-        fn solve(n: usize, l: &[Lanes], z: &[f64], y: &mut Vec<Lanes>) -> (Lanes, Lanes) {
-            y.clear();
-            y.extend(z.iter().map(|&v| [v; LANES]));
-            let mut log_sum = [0.0; LANES];
-            let mut oj = 0;
-            for j in 0..n {
-                let col = &l[oj..oj + (n - j)];
-                let (head, below) = y[j..].split_at_mut(1);
-                let yj = &mut head[0];
-                for t in 0..LANES {
-                    yj[t] /= col[0][t];
-                }
-                let yj = *yj;
-                super::zip_each(below, [&col[1..]], |yi, [lij]| {
-                    for t in 0..LANES {
-                        yi[t] -= lij[t] * yj[t];
-                    }
-                });
-                oj += n - j;
+        pub(in crate::fastpath) fn log_diagonal(l: &[Lanes]) -> Lanes {
+            let mut sum = V::splat(0.0);
+            let (mut j, mut at) = (0, 0);
+            while at < l.len() {
+                sum = sum.add(V::load(&l[at]).ln());
+                j += 1;
+                at += j + 1;
             }
-            let mut quad = [0.0; LANES];
-            for v in y.iter() {
-                for t in 0..LANES {
-                    quad[t] += v[t] * v[t];
-                }
-            }
-            let mut oj = 0;
-            for j in 0..n {
-                let ljj = l[oj];
-                for t in 0..LANES {
-                    log_sum[t] += ljj[t].ln();
-                }
-                oj += n - j;
-            }
-            (quad, log_sum)
+            sum.to_array()
         }
     };
 }
 
-/// `f(x[e], [s[e] for s in srcs])` for every element `e` of `xs`, four
-/// elements per pass.
-///
-/// Each `f` updates one element's four lanes. A pass over a fixed block of
-/// four elements is unrolled early, which leaves each element's lanes to
-/// LLVM's SLP vectoriser: one vector per element. A one-element loop is
-/// instead vectorised across elements, with a shuffle per lane. Every
-/// element is independent, so the grouping does not change any result.
-///
-/// # Panics
-/// Panics if a source is shorter than `xs`.
-#[inline(always)]
-fn zip_each<T, const K: usize>(
-    xs: &mut [Lanes],
-    srcs: [&[T]; K],
-    mut f: impl FnMut(&mut Lanes, [&T; K]),
-) {
-    let len = xs.len();
-    let srcs = srcs.map(|s| s[..len].as_chunks::<4>());
-    let (blocks, rest) = xs.as_chunks_mut::<4>();
-    for (b, block) in blocks.iter_mut().enumerate() {
-        for (e, x) in block.iter_mut().enumerate() {
-            f(x, srcs.map(|(chunks, _)| &chunks[b][e]));
-        }
-    }
-    for (e, x) in rest.iter_mut().enumerate() {
-        f(x, srcs.map(|(_, tail)| &tail[e]));
-    }
-}
-
-/// `a` where `keep` is set, else `b`, by bits (never a branch or a
-/// masked store).
-#[inline(always)]
-fn select(keep: bool, a: f64, b: f64) -> f64 {
-    let mask = u64::from(keep).wrapping_neg();
-    f64::from_bits((a.to_bits() & mask) | (b.to_bits() & !mask))
-}
-
-/// The baseline compilation, with libm's `exp`.
+/// The baseline compilation, with libm's `exp` and `ln`.
 pub(super) mod baseline {
-    lane_kernels!(crate::fastpath::Libm);
+    lane_kernels!(crate::fastpath::Libm, crate::fastpath::vector::Array4);
 }
 
-/// The AVX2 + FMA compilation, with the `exp` port. Callers must have
-/// checked [`super::super::fast_path_enabled`].
+/// The AVX2 + FMA compilation, with the `exp` and `log` ports. Callers must
+/// have checked [`super::super::fast_path_enabled`].
 #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
 pub(super) mod avx2 {
-    lane_kernels!(crate::fastpath::port::Port, #[target_feature(enable = "avx2,fma")]);
+    lane_kernels!(
+        crate::fastpath::port::Port,
+        crate::fastpath::vector::Ymm,
+        #[target_feature(enable = "avx2,fma")]
+    );
 }
 
 #[cfg(test)]
@@ -689,7 +657,7 @@ mod tests {
                     let xs = inputs(&mut rng, n, dim);
                     let planes = planes_of(&xs);
                     let z: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
-                    let p = NlmlProblem { kind, planes: &planes, n, dim, z: &z, jitter: JITTER };
+                    let p = NlmlProblem::new(kind, &planes, n, dim, &z, JITTER);
                     let all = thetas(&mut rng, dim);
                     // Batches of 4, 3, 2 and 1 θ: unused lanes repeat the first.
                     let mut rest = &all[..];
@@ -734,42 +702,73 @@ mod tests {
         assert!(dead_lanes > 0, "no lane exhausted its jitter retries");
     }
 
-    /// Each compilation's lane factorisation, with its name.
-    fn factors(
-        n: usize,
-        diag: Lanes,
-        jitter: Lanes,
-        entries: &[Lanes],
-    ) -> Vec<(&'static str, Vec<Lanes>, [bool; LANES])> {
-        let mut l = vec![[f64::NAN; LANES]; n * (n + 1) / 2];
-        let failed = baseline::factor(n, diag, jitter, entries, &mut l);
-        let mut out = vec![("baseline", l, failed)];
+    /// One compilation's fused factorisation and solve: the row-packed
+    /// factor, `y`, the failed lanes, `Σ y²` and `Σ ln L_jj`.
+    struct Fused {
+        name: &'static str,
+        l: Vec<Lanes>,
+        y: Vec<Lanes>,
+        failed: [bool; LANES],
+        quad: Lanes,
+        log_sum: Lanes,
+    }
+
+    /// Each compilation's fused factorisation and solve.
+    fn factors(diag: Lanes, jitter: Lanes, entries: &[Lanes], z: &[f64]) -> Vec<Fused> {
+        let n = z.len();
+        let fresh = || (vec![[f64::NAN; LANES]; n * (n + 1) / 2], vec![[f64::NAN; LANES]; n]);
+        let (mut l, mut y) = fresh();
+        let (failed, quad) = baseline::factor(diag, jitter, entries, z, &mut l, &mut y);
+        let log_sum = baseline::log_diagonal(&l);
+        let mut out = vec![Fused { name: "baseline", l, y, failed, quad, log_sum }];
         #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
         if featured() {
-            let mut l = vec![[f64::NAN; LANES]; n * (n + 1) / 2];
+            let (mut l, mut y) = fresh();
             // SAFETY: both target features were detected just above.
-            let failed = unsafe { avx2::factor(n, diag, jitter, entries, &mut l) };
-            out.push(("avx2", l, failed));
+            let (failed, quad) = unsafe { avx2::factor(diag, jitter, entries, z, &mut l, &mut y) };
+            // SAFETY: as above.
+            let log_sum = unsafe { avx2::log_diagonal(&l) };
+            out.push(Fused { name: "avx2", l, y, failed, quad, log_sum });
         }
         out
+    }
+
+    /// The scalar factorisation, forward solve, `Σ y²` and `Σ ln L_jj` of
+    /// `a + jitter·I`, or `None` where the factorisation fails.
+    fn scalar_factor(a: &Mat, jitter: f64, z: &[f64]) -> Option<(Mat, Vec<f64>, f64, f64)> {
+        let n = a.rows();
+        let mut l = Mat::zeros(n, n);
+        crate::chol::factor_into(a, jitter, &mut l).ok()?;
+        let mut y = z.to_vec();
+        crate::chol::solve_lower_in_place(&l, &mut y);
+        let (mut quad, mut log_sum) = (0.0, 0.0);
+        for (j, v) in y.iter().enumerate() {
+            quad += v * v;
+            log_sum += l[(j, j)].ln();
+        }
+        Some((l, y, quad, log_sum))
     }
 
     #[test]
     fn every_lane_factors_as_the_scalar_cholesky_does() {
         // Lane 0 holds a matrix with signed zeros: without the per-lane
         // zero-`l_jk` skip, `−0 − (−0.5 · +0)` would give +0 where the
-        // scalar body keeps −0. The other lanes hold seeded SPD matrices
-        // (one made indefinite) with a constant diagonal, as K has.
+        // scalar body keeps −0, and the targets' own −0 must come through
+        // the solve. The other lanes hold seeded SPD matrices (one made
+        // indefinite) with a constant diagonal, as K has; in a second
+        // round lane 2's diagonal is NaN, a lane no jitter can rescue.
         let mut rng = SmallRng::seed_from_u64(0xfac7);
-        let mut failures = 0;
-        for n in [3usize, 4, 5, 6, 9, 13] {
+        let (mut failures, mut mixed) = (0, 0);
+        for n in [1usize, 2, 3, 4, 5, 6, 9, 13, 29] {
             let mut mats: Vec<Mat> = Vec::new();
             let mut crafted = Mat::zeros(n, n);
             for i in 0..n {
                 crafted[(i, i)] = 1.0;
             }
-            crafted[(2, 1)] = -0.0;
-            crafted[(2, 0)] = -0.5;
+            if n >= 3 {
+                crafted[(2, 1)] = -0.0;
+                crafted[(2, 0)] = -0.5;
+            }
             mats.push(crafted);
             for lane in 1..LANES {
                 let b = Mat::from_fn(n, n, |_, _| rng.gen_range(-1.0..1.0));
@@ -780,59 +779,69 @@ mod tests {
                 }
                 mats.push(a);
             }
-            let mut diag = [0.0; LANES];
-            let mut entries = vec![[0.0; LANES]; n * (n - 1) / 2];
-            for (t, a) in mats.iter().enumerate() {
-                diag[t] = a[(0, 0)];
-                let mut p = 0;
-                for j in 0..n {
-                    for i in j + 1..n {
-                        entries[p][t] = a[(i, j)];
-                        p += 1;
+            let z: Vec<f64> =
+                (0..n).map(|i| if i % 3 == 1 { -0.0 } else { rng.gen_range(-2.0..2.0) }).collect();
+            for nan_lane in [false, true] {
+                if nan_lane {
+                    for i in 0..n {
+                        mats[2][(i, i)] = f64::NAN;
                     }
                 }
-            }
-            for jitter in [[0.0; LANES], [0.0, 1e-9, 1e-6, 1e-3]] {
-                for (name, l, failed) in factors(n, diag, jitter, &entries) {
-                    for (t, a) in mats.iter().enumerate() {
-                        let mut want = Mat::zeros(n, n);
-                        let ok = crate::chol::factor_into(a, jitter[t], &mut want).is_ok();
-                        assert_eq!(failed[t], !ok, "{name} n={n} lane {t}");
-                        if !ok {
-                            failures += 1;
-                            continue;
+                let mut diag = [0.0; LANES];
+                let mut entries = vec![[0.0; LANES]; n * (n - 1) / 2];
+                for (t, a) in mats.iter().enumerate() {
+                    diag[t] = a[(0, 0)];
+                    let mut p = 0;
+                    for j in 0..n {
+                        for i in j + 1..n {
+                            entries[p][t] = a[(i, j)];
+                            p += 1;
                         }
-                        let mut o = 0;
-                        for j in 0..n {
-                            for i in j..n {
-                                let (got, w) = (l[o + i - j][t], want[(i, j)]);
-                                assert_eq!(
-                                    got.to_bits(),
-                                    w.to_bits(),
-                                    "{name} n={n} lane {t} L[{i}][{j}]"
-                                );
+                    }
+                }
+                for jitter in [[0.0; LANES], [0.0, 1e-9, 1e-6, 1e-3]] {
+                    for got in factors(diag, jitter, &entries, &z) {
+                        let name = got.name;
+                        let mut failed = 0;
+                        for (t, a) in mats.iter().enumerate() {
+                            let want = scalar_factor(a, jitter[t], &z);
+                            assert_eq!(got.failed[t], want.is_none(), "{name} n={n} lane {t}");
+                            let Some((want_l, want_y, quad, log_sum)) = want else {
+                                failed += 1;
+                                continue;
+                            };
+                            let mut o = 0;
+                            for i in 0..n {
+                                for j in 0..=i {
+                                    let (g, w) = (got.l[o + j][t], want_l[(i, j)]);
+                                    let what = format!("{name} n={n} lane {t} L[{i}][{j}]");
+                                    assert_eq!(g.to_bits(), w.to_bits(), "{what}");
+                                }
+                                o += i + 1;
                             }
-                            o += n - j;
+                            for (j, w) in want_y.iter().enumerate() {
+                                let g = got.y[j][t];
+                                let what = format!("{name} n={n} lane {t} y[{j}]");
+                                assert_eq!(g.to_bits(), w.to_bits(), "{what}");
+                            }
+                            assert_eq!(got.quad[t].to_bits(), quad.to_bits(), "{name} Σ y²");
+                            assert_eq!(got.log_sum[t].to_bits(), log_sum.to_bits(), "{name} Σ ln");
                         }
+                        failures += failed;
+                        mixed += usize::from(failed > 0 && failed < LANES);
                     }
                 }
             }
         }
         assert!(failures > 0, "no lane hit a bad pivot");
+        assert!(mixed > 0, "no batch mixed failed and factored lanes");
     }
 
     #[test]
     #[should_panic(expected = "θ length")]
     fn a_short_theta_is_rejected() {
         let planes = [0.25];
-        let p = NlmlProblem {
-            kind: Correlation::Matern52,
-            planes: &planes,
-            n: 2,
-            dim: 1,
-            z: &[0.5, -0.5],
-            jitter: JITTER,
-        };
+        let p = NlmlProblem::new(Correlation::Matern52, &planes, 2, 1, &[0.5, -0.5], JITTER);
         NlmlLanes::new().eval(&p, &[&[0.0, 0.0]], &mut [0.0]);
     }
 }

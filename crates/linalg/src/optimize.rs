@@ -351,6 +351,10 @@ pub trait LaneObjective {
     }
 
     /// Evaluate `xs` (one to [`LANES`] points) into `out[..xs.len()]`.
+    ///
+    /// The lockstep drivers pass only points for which
+    /// [`answer_eagerly`](Self::answer_eagerly) returned `None`, so an
+    /// implementation need not repeat that test.
     fn eval_lanes(&self, scratch: &mut Self::Scratch, xs: &[&[f64]], out: &mut [f64]);
 }
 

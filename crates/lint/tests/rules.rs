@@ -135,6 +135,8 @@ fn hot_index_fires_in_every_pinned_hot_path() {
         "crates/linalg/src/chol.rs",
         "crates/linalg/src/fastpath.rs",
         "crates/linalg/src/fastpath/lanes.rs",
+        "crates/linalg/src/fastpath/log.rs",
+        "crates/linalg/src/fastpath/vector.rs",
         "crates/cloudsim/src/sim.rs",
     ] {
         let rules = fired(hot, "hot_index_bad.rs");
