@@ -167,7 +167,9 @@ macro_rules! spec {
     };
 }
 
-/// The full catalog. Order is stable and used for display.
+/// The full catalog. Order is stable and used for display; entry `i` is
+/// the type whose discriminant is `i`, which [`InstanceType::spec`]
+/// relies on.
 pub const CATALOG: [InstanceSpec; 19] = [
     spec!(C4Large, C4, "c4.large", 2, 3.75, None, 0.62, 0.100, C4_GFLOPS_PER_VCPU),
     spec!(C4Xlarge, C4, "c4.xlarge", 4, 7.5, None, 0.75, 0.199, C4_GFLOPS_PER_VCPU),
@@ -236,9 +238,11 @@ impl InstanceType {
         CATALOG.iter().map(|s| s.itype)
     }
 
-    /// The full spec for this type.
+    /// The full spec for this type: [`CATALOG`] is ordered by
+    /// discriminant, so this is one index, not a scan.
+    #[inline]
     pub fn spec(&self) -> &'static InstanceSpec {
-        CATALOG.iter().find(|s| s.itype == *self).expect("every InstanceType has a catalog entry")
+        &CATALOG[*self as usize]
     }
 
     /// AWS API name, e.g. `"c5n.4xlarge"`.
@@ -285,6 +289,13 @@ mod tests {
             assert_eq!(InstanceType::from_name(s.name), Some(t));
         }
         assert_eq!(InstanceType::from_name("m5.24xlarge"), None);
+    }
+
+    #[test]
+    fn catalog_is_indexed_by_discriminant() {
+        for (i, s) in CATALOG.iter().enumerate() {
+            assert_eq!(s.itype as usize, i, "{} is out of place", s.name);
+        }
     }
 
     #[test]

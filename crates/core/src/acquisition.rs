@@ -13,32 +13,158 @@
 //!    CPU probe.
 
 use mlcd_gp::Prediction;
-use mlcd_linalg::{norm_cdf, norm_pdf};
+use mlcd_linalg::{norm_cdf, norm_pdf, NormalBatch};
+
+/// Per-candidate buffers for the acquisition pass that follows a batched
+/// prediction ([`AcquisitionPolicy::utility_ei_batch`],
+/// [`AcquisitionPolicy::utility_poi_batch`]). A search keeps one set and
+/// sizes it once with [`reserve`](Self::reserve), so that a warm scoring
+/// pass allocates nothing. Each holds at most one entry per candidate.
+///
+/// [`AcquisitionPolicy::utility_ei_batch`]: crate::search::policies::AcquisitionPolicy::utility_ei_batch
+/// [`AcquisitionPolicy::utility_poi_batch`]: crate::search::policies::AcquisitionPolicy::utility_poi_batch
+#[derive(Debug, Clone, Default)]
+pub struct AcquisitionBuffers {
+    /// Positions (in the prediction batch, ascending) of the candidates
+    /// the gates admitted for scoring.
+    pub admitted: Vec<usize>,
+    /// One expected improvement per admitted candidate, in `admitted`
+    /// order.
+    pub ei: Vec<f64>,
+    /// One improvement probability per admitted candidate, in `admitted`
+    /// order (left empty where nothing reads it).
+    pub poi: Vec<f64>,
+    /// Standard-normal arguments batched across candidates, and Φ and φ
+    /// at them.
+    pub normal: NormalBatch,
+}
+
+impl AcquisitionBuffers {
+    /// Grow every buffer to hold `m` candidates.
+    pub fn reserve(&mut self, m: usize) {
+        self.admitted.reserve(m.saturating_sub(self.admitted.len()));
+        self.ei.reserve(m.saturating_sub(self.ei.len()));
+        self.poi.reserve(m.saturating_sub(self.poi.len()));
+        self.normal.reserve(m);
+    }
+}
+
+/// Where the acquisition functions read the standard normal's Φ and φ.
+///
+/// [`Exact`] evaluates them on the spot. A scoring pass over many
+/// candidates runs the same acquisition code twice instead: once with
+/// [`Staging`], which only records each argument, then, after one batched
+/// [`NormalBatch::eval`], with [`Replay`], which hands back the batch's
+/// values in the same order. Every call sequence is the same in both
+/// passes (no branch depends on a Φ or φ value), and the batch's values
+/// have the bits of [`norm_cdf`] and [`norm_pdf`], so the replayed result
+/// is bit for bit the exact one.
+pub(crate) trait StdNormal {
+    /// Φ(z).
+    fn cdf(&mut self, z: f64) -> f64;
+    /// φ(z), always asked right after `cdf` at the same `z`.
+    fn pdf(&mut self, z: f64) -> f64;
+}
+
+/// Φ and φ evaluated per call.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Exact;
+
+impl StdNormal for Exact {
+    fn cdf(&mut self, z: f64) -> f64 {
+        norm_cdf(z)
+    }
+
+    fn pdf(&mut self, z: f64) -> f64 {
+        norm_pdf(z)
+    }
+}
+
+/// Records each Φ argument into a batch; the values it returns are
+/// placeholders for a pass whose results are discarded.
+pub(crate) struct Staging<'a>(pub(crate) &'a mut NormalBatch);
+
+impl StdNormal for Staging<'_> {
+    fn cdf(&mut self, z: f64) -> f64 {
+        self.0.push(z);
+        0.0
+    }
+
+    fn pdf(&mut self, _z: f64) -> f64 {
+        0.0
+    }
+}
+
+/// Reads an evaluated batch back in staging order.
+pub(crate) struct Replay<'a> {
+    batch: &'a NormalBatch,
+    /// The position the last `cdf` read; the next one reads `at + 1`.
+    at: usize,
+}
+
+impl<'a> Replay<'a> {
+    /// Replay `batch` from its first argument.
+    pub(crate) fn new(batch: &'a NormalBatch) -> Self {
+        Replay { batch, at: usize::MAX }
+    }
+}
+
+impl StdNormal for Replay<'_> {
+    fn cdf(&mut self, z: f64) -> f64 {
+        self.at = self.at.wrapping_add(1);
+        debug_assert_eq!(self.batch.args().get(self.at).map(|x| x.to_bits()), Some(z.to_bits()));
+        self.batch.cdf().get(self.at).copied().unwrap_or(f64::NAN)
+    }
+
+    fn pdf(&mut self, _z: f64) -> f64 {
+        self.batch.pdf().get(self.at).copied().unwrap_or(f64::NAN)
+    }
+}
 
 /// Expected improvement of a *maximisation* objective over incumbent
 /// `best`, for a Gaussian belief `pred` about the candidate's value.
 ///
 /// `xi` is the usual exploration margin (0 for the paper's plain EI).
 pub fn expected_improvement(pred: &Prediction, best: f64, xi: f64) -> f64 {
+    expected_improvement_with(pred, best, xi, &mut Exact)
+}
+
+/// [`expected_improvement`] with Φ and φ read from `normal`.
+pub(crate) fn expected_improvement_with(
+    pred: &Prediction,
+    best: f64,
+    xi: f64,
+    normal: &mut impl StdNormal,
+) -> f64 {
     let sigma = pred.stddev();
     let gap = pred.mean - best - xi;
     if sigma < 1e-12 {
         return gap.max(0.0);
     }
     let z = gap / sigma;
-    let ei = gap * norm_cdf(z) + sigma * norm_pdf(z);
+    let ei = gap * normal.cdf(z) + sigma * normal.pdf(z);
     ei.max(0.0)
 }
 
 /// Probability the candidate improves on `best` by more than `margin`
 /// (POI acquisition; also HeterBO's confidence-aware stop test).
 pub fn prob_improvement(pred: &Prediction, best: f64, margin: f64) -> f64 {
+    prob_improvement_with(pred, best, margin, &mut Exact)
+}
+
+/// [`prob_improvement`] with Φ read from `normal`.
+pub(crate) fn prob_improvement_with(
+    pred: &Prediction,
+    best: f64,
+    margin: f64,
+    normal: &mut impl StdNormal,
+) -> f64 {
     let sigma = pred.stddev();
     let gap = pred.mean - (best + margin);
     if sigma < 1e-12 {
         return if gap > 0.0 { 1.0 } else { 0.0 };
     }
-    norm_cdf(gap / sigma)
+    normal.cdf(gap / sigma)
 }
 
 /// Upper confidence bound `μ + κσ` for a maximisation objective.
@@ -74,11 +200,23 @@ impl AcquisitionKind {
     /// (maximisation). All kinds return ≥ 0, with 0 meaning "not worth
     /// probing", so scores can be divided by probing-cost penalties.
     pub fn score(&self, pred: &Prediction, best: f64) -> f64 {
+        self.score_with(pred, best, &mut Exact)
+    }
+
+    /// [`score`](Self::score) with Φ and φ read from `normal`.
+    pub(crate) fn score_with(
+        &self,
+        pred: &Prediction,
+        best: f64,
+        normal: &mut impl StdNormal,
+    ) -> f64 {
         match *self {
-            AcquisitionKind::ExpectedImprovement => expected_improvement(pred, best, 0.0),
+            AcquisitionKind::ExpectedImprovement => {
+                expected_improvement_with(pred, best, 0.0, normal)
+            }
             AcquisitionKind::UpperConfidenceBound { kappa } => (ucb(pred, kappa) - best).max(0.0),
             AcquisitionKind::ProbabilityOfImprovement { margin_frac } => {
-                prob_improvement(pred, best, margin_frac * best.abs())
+                prob_improvement_with(pred, best, margin_frac * best.abs(), normal)
             }
         }
     }

@@ -7,9 +7,11 @@
 //! type set exactly as the paper's figures do (e.g. Fig 15 searches
 //! {c5.xlarge, c5.4xlarge, p2.xlarge} × n ≤ 50).
 
+use mlcd_cloudsim::catalog::CATALOG;
 use mlcd_cloudsim::{InstanceType, Money, SimDuration};
 use mlcd_perfmodel::{ThroughputModel, TrainingJob};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// One deployment scheme: `n` nodes of instance type `itype`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -44,6 +46,23 @@ impl std::fmt::Display for Deployment {
     }
 }
 
+/// The four per-type GP features of [`SearchSpace::features`], one row per
+/// catalog entry (indexed by discriminant), computed once per process from
+/// the compiled-in catalog with the expressions `features` documents.
+fn type_features() -> &'static [[f64; 4]; CATALOG.len()] {
+    static TABLE: OnceLock<[[f64; 4]; CATALOG.len()]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        CATALOG.map(|s| {
+            [
+                s.hourly_usd.log10(),
+                s.cpu_peak_gflops.log10(),
+                (s.gpu_peak_gflops() + 1.0).log10(),
+                s.network_gbps.log10(),
+            ]
+        })
+    })
+}
+
 /// The set of candidate deployments for one search, plus the feature map
 /// the GP works in.
 #[derive(Debug, Clone)]
@@ -51,6 +70,10 @@ pub struct SearchSpace {
     types: Vec<InstanceType>,
     max_nodes: u32,
     candidates: Vec<Deployment>,
+    /// Per-dimension feature range over `candidates`, folded once, on the
+    /// first [`feature_bounds`](Self::feature_bounds): a space that never
+    /// fits a surrogate (an exhaustive or random sweep) never pays for it.
+    bounds: OnceLock<[(f64, f64); SearchSpace::FEATURE_DIM]>,
 }
 
 impl SearchSpace {
@@ -74,7 +97,16 @@ impl SearchSpace {
                 }
             }
         }
-        SearchSpace { types: types.to_vec(), max_nodes, candidates }
+        Self::with_candidates(types.to_vec(), max_nodes, candidates)
+    }
+
+    /// A space over `candidates`, its feature bounds not yet folded.
+    fn with_candidates(
+        types: Vec<InstanceType>,
+        max_nodes: u32,
+        candidates: Vec<Deployment>,
+    ) -> Self {
+        SearchSpace { types, max_nodes, candidates, bounds: OnceLock::new() }
     }
 
     /// The paper's full space: every catalog type, up to 50 nodes.
@@ -126,25 +158,33 @@ impl SearchSpace {
     /// # Panics
     /// Panics when `out.len() != FEATURE_DIM`.
     pub fn features_into(&self, d: &Deployment, out: &mut [f64]) {
-        assert_eq!(out.len(), Self::FEATURE_DIM, "features_into: dim mismatch");
-        let s = d.itype.spec();
-        out[0] = s.hourly_usd.log10();
-        out[1] = s.cpu_peak_gflops.log10();
-        out[2] = (s.gpu_peak_gflops() + 1.0).log10();
-        out[3] = s.network_gbps.log10();
-        out[4] = d.n as f64;
+        let out: &mut [f64; Self::FEATURE_DIM] =
+            out.try_into().expect("features_into: dim mismatch");
+        Self::write_features(d, out);
     }
 
-    /// Feature-space bounds for input scaling, derived from the candidates.
-    pub fn feature_bounds(&self) -> Vec<(f64, f64)> {
-        let mut bounds = vec![(f64::INFINITY, f64::NEG_INFINITY); Self::FEATURE_DIM];
-        for d in &self.candidates {
-            for (b, v) in bounds.iter_mut().zip(self.features(d)) {
-                b.0 = b.0.min(v);
-                b.1 = b.1.max(v);
+    /// The feature vector of `d`: the type's four from the per-type table,
+    /// then the node count.
+    fn write_features(d: &Deployment, out: &mut [f64; Self::FEATURE_DIM]) {
+        let [price, cpu, gpu, net] = type_features()[d.itype as usize];
+        *out = [price, cpu, gpu, net, d.n as f64];
+    }
+
+    /// Feature-space bounds for input scaling, derived from the candidates
+    /// (folded in candidate order on the first call, then kept).
+    pub fn feature_bounds(&self) -> &[(f64, f64)] {
+        self.bounds.get_or_init(|| {
+            let mut bounds = [(f64::INFINITY, f64::NEG_INFINITY); Self::FEATURE_DIM];
+            let mut x = [0.0; Self::FEATURE_DIM];
+            for d in &self.candidates {
+                Self::write_features(d, &mut x);
+                for (b, &v) in bounds.iter_mut().zip(&x) {
+                    b.0 = b.0.min(v);
+                    b.1 = b.1.max(v);
+                }
             }
-        }
-        bounds
+            bounds
+        })
     }
 
     /// Restrict to a subset of types (CherryPick's "experience" trimming).
@@ -152,7 +192,7 @@ impl SearchSpace {
         let kept: Vec<Deployment> =
             self.candidates.iter().filter(|d| types.contains(&d.itype)).copied().collect();
         assert!(!kept.is_empty(), "restricted_to: no candidates left");
-        SearchSpace { types: types.to_vec(), max_nodes: self.max_nodes, candidates: kept }
+        Self::with_candidates(types.to_vec(), self.max_nodes, kept)
     }
 
     /// Coarsen the scale-out grid to the given node counts (CherryPick
@@ -161,7 +201,7 @@ impl SearchSpace {
         let kept: Vec<Deployment> =
             self.candidates.iter().filter(|d| node_grid.contains(&d.n)).copied().collect();
         assert!(!kept.is_empty(), "coarsened: no candidates left");
-        SearchSpace { types: self.types.clone(), max_nodes: self.max_nodes, candidates: kept }
+        Self::with_candidates(self.types.clone(), self.max_nodes, kept)
     }
 }
 
@@ -222,9 +262,51 @@ mod tests {
         let s = space();
         let bounds = s.feature_bounds();
         for d in s.candidates() {
-            for (v, (lo, hi)) in s.features(d).iter().zip(&bounds) {
+            for (v, (lo, hi)) in s.features(d).iter().zip(bounds) {
                 assert!(v >= lo && v <= hi);
             }
+        }
+    }
+
+    #[test]
+    fn tabled_features_equal_the_catalog_expressions_bitwise() {
+        for t in InstanceType::all() {
+            let s = t.spec();
+            for n in [1u32, 7, 50] {
+                let want = [
+                    s.hourly_usd.log10(),
+                    s.cpu_peak_gflops.log10(),
+                    (s.gpu_peak_gflops() + 1.0).log10(),
+                    s.network_gbps.log10(),
+                    n as f64,
+                ];
+                let got = space().features(&Deployment::new(t, n));
+                let bits: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(bits, want.map(f64::to_bits), "{t} × {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn kept_bounds_equal_a_fold_over_the_candidates() {
+        let fold = |s: &SearchSpace| {
+            let mut b = vec![(f64::INFINITY, f64::NEG_INFINITY); SearchSpace::FEATURE_DIM];
+            for d in s.candidates() {
+                for (b, v) in b.iter_mut().zip(s.features(d)) {
+                    *b = (b.0.min(v), b.1.max(v));
+                }
+            }
+            b
+        };
+        let full = SearchSpace::full(&TrainingJob::resnet_cifar10(), &ThroughputModel::default());
+        let s = space();
+        for sp in [
+            full.clone(),
+            s.clone(),
+            s.restricted_to(&[InstanceType::P2Xlarge]),
+            full.coarsened(&[1, 8, 32]),
+        ] {
+            assert_eq!(sp.feature_bounds(), &fold(&sp)[..]);
         }
     }
 

@@ -484,6 +484,11 @@ impl ConvBo {
     pub fn budget_aware(seed: u64) -> BoCore {
         BoCore::new("BO_imprd", Self::base(seed).budget_guarded().build())
     }
+
+    /// Access the underlying core.
+    pub fn core(self) -> BoCore {
+        self.0
+    }
 }
 
 impl Default for ConvBo {
@@ -552,6 +557,11 @@ impl CherryPick {
             Some(t) => core.with_types(t),
             None => core,
         }
+    }
+
+    /// Access the underlying core.
+    pub fn core(self) -> BoCore {
+        self.0
     }
 }
 

@@ -28,6 +28,7 @@ use mlcd_cloudsim::{Money, SimDuration};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::cell::RefCell;
 
 use super::policies::feasibility::TEI_SIGMAS;
 
@@ -225,16 +226,19 @@ impl SearchKernel {
         // ----- BO loop -----
         let init_count = steps.len();
         let mut surrogate_state: Option<Surrogate> = None;
-        // One scoring workspace for the whole search, sized up front so
-        // the per-step batched posterior below never reallocates: the
-        // model can grow to at most init_count + max_steps observations
-        // and a scoring batch is at most the whole pool.
+        // One scoring workspace and one set of acquisition buffers for the
+        // whole search, sized up front so the per-step batched posterior
+        // and acquisition below never reallocate: the model can grow to
+        // at most init_count + max_steps observations and a scoring batch
+        // is at most the whole pool.
         let mut score_ws = mlcd_gp::ScoreWorkspace::new();
         score_ws.reserve(
             crate::deployment::SearchSpace::FEATURE_DIM,
             init_count + self.stop.max_steps() + 1,
             pool.len(),
         );
+        let mut acq_bufs = crate::acquisition::AcquisitionBuffers::default();
+        acq_bufs.reserve(pool.len());
         let mut best_traced_utility = f64::NEG_INFINITY;
         let stop_reason = loop {
             if steps.len() >= init_count + self.stop.max_steps() {
@@ -320,6 +324,7 @@ impl SearchKernel {
             // prediction per step.
             surrogate.predict_batch_into(env.space(), &unprobed, &mut score_ws);
             let preds = score_ws.predictions();
+            let bufs = &mut acq_bufs;
             let pred_of =
                 |d: &Deployment| unprobed.iter().position(|u| u == d).and_then(|i| preds.get(i));
             let incumbent_ok = incumbent_feasible(env, scenario, &incumbent);
@@ -328,25 +333,20 @@ impl SearchKernel {
             // regardless of how young the surrogate is.
             let budget_rescue = !incumbent_ok && matches!(scenario, Scenario::FastestWithBudget(_));
 
-            // Score every candidate.
+            // Score every candidate, in three passes that take today's
+            // decisions in today's order: the gates in candidate order,
+            // one batched acquisition over the admitted candidates, then
+            // the events and the running best in candidate order.
             let mut any_reserve_blocked = false;
-            let mut best: Option<(
-                Deployment,
-                f64, /*score*/
-                f64, /*poi*/
-                f64, /*ei*/
-            )> = None;
             // Candidates that pass the reserve but fail TEI — kept around
             // for the cold-start exploration fallback below.
             let mut tei_blocked: Vec<(Deployment, f64 /*optimistic speed*/)> = Vec::new();
             let rates = crate::search::policies::pruning::per_type_speed_rate(&observations);
-            for (d, pred) in unprobed.iter().zip(preds) {
+            bufs.admitted.clear();
+            for (i, (d, pred)) in unprobed.iter().zip(preds).enumerate() {
                 if !self.gate.probe_respects_reserve(env, scenario, d, &incumbent) {
                     any_reserve_blocked = true;
-                    sink.record(TraceEvent::ReserveBlocked { deployment: *d });
-                    continue;
-                }
-                if !self.gate.tei_feasible(
+                } else if !self.gate.tei_feasible(
                     env,
                     scenario,
                     d,
@@ -356,25 +356,53 @@ impl SearchKernel {
                     budget_rescue,
                 ) {
                     tei_blocked.push((*d, pred.mean + TEI_SIGMAS * pred.stddev()));
-                    sink.record(TraceEvent::CandidatePruned {
-                        deployment: *d,
-                        reason: PruneReason::TeiInfeasible,
-                    });
-                    continue;
+                } else {
+                    bufs.admitted.push(i);
                 }
-                let ei = self.acquisition.utility_ei(scenario, total_samples, d, pred, &incumbent);
-                let poi = self.acquisition.utility_poi(
+            }
+            self.acquisition.utility_ei_batch(
+                scenario,
+                total_samples,
+                &unprobed,
+                preds,
+                &incumbent,
+                bufs,
+            );
+            // Each scored candidate's POI only feeds its trace event; a
+            // sink that keeps nothing does not pay for it.
+            bufs.poi.clear();
+            if sink.keeps_events() {
+                self.acquisition.utility_poi_batch(
                     scenario,
                     total_samples,
-                    d,
-                    pred,
+                    &unprobed,
+                    preds,
                     &incumbent,
                     threshold,
+                    bufs,
                 );
+            }
+            let mut best: Option<(Deployment, f64 /*score*/, f64 /*ei*/)> = None;
+            let mut scored = bufs.admitted.iter().zip(&bufs.ei).peekable();
+            let mut pois = bufs.poi.iter();
+            let mut pruned = tei_blocked.iter().map(|b| b.0).peekable();
+            for (i, d) in unprobed.iter().enumerate() {
+                let Some((_, &ei)) = scored.next_if(|&(&at, _)| at == i) else {
+                    sink.record(if pruned.next_if_eq(d).is_some() {
+                        TraceEvent::CandidatePruned {
+                            deployment: *d,
+                            reason: PruneReason::TeiInfeasible,
+                        }
+                    } else {
+                        TraceEvent::ReserveBlocked { deployment: *d }
+                    });
+                    continue;
+                };
+                let poi = pois.next().copied().unwrap_or(f64::NAN);
                 let score = ei / self.acquisition.penalty(env, scenario, d);
                 sink.record(TraceEvent::CandidateScored { deployment: *d, ei, poi, score });
                 if best.as_ref().is_none_or(|b| score > b.1) {
-                    best = Some((*d, score, poi, ei));
+                    best = Some((*d, score, ei));
                 }
             }
 
@@ -439,7 +467,7 @@ impl SearchKernel {
                         forced_frontier = Some((*d, score));
                     }
                 } else if best.as_ref().is_none_or(|b| score > b.1) {
-                    best = Some((*d, score, 1.0, *bonus));
+                    best = Some((*d, score, *bonus));
                 }
             }
             if let Some((d_force, _)) = forced_frontier {
@@ -458,7 +486,7 @@ impl SearchKernel {
                 continue;
             }
 
-            let Some((d_next, _, _, best_ei)) = best else {
+            let Some((d_next, _, best_ei)) = best else {
                 // Cold-start escape hatch: TEI judged every candidate
                 // hopeless, but the judgment rests on a near-empty model
                 // and we hold no feasible incumbent to retreat to. The
@@ -505,22 +533,22 @@ impl SearchKernel {
 
             // Stop tests: the policy sees this step's statistics; the POI
             // scan over the batched posterior stays lazy — only a CI-aware
-            // policy pays for it.
+            // policy pays for it, through one batch over every candidate.
+            let bufs = RefCell::new(bufs);
             let max_poi = || {
-                unprobed
-                    .iter()
-                    .zip(preds)
-                    .map(|(d, pred)| {
-                        self.acquisition.utility_poi(
-                            scenario,
-                            total_samples,
-                            d,
-                            pred,
-                            &incumbent,
-                            threshold,
-                        )
-                    })
-                    .fold(0.0_f64, f64::max)
+                let mut bufs = bufs.borrow_mut();
+                bufs.admitted.clear();
+                bufs.admitted.extend(0..unprobed.len());
+                self.acquisition.utility_poi_batch(
+                    scenario,
+                    total_samples,
+                    &unprobed,
+                    preds,
+                    &incumbent,
+                    threshold,
+                    &mut bufs,
+                );
+                bufs.poi.iter().copied().fold(0.0_f64, f64::max)
             };
             let ctx = StopContext {
                 n_obs: observations.len(),
@@ -628,9 +656,13 @@ mod tests {
     use super::*;
     use crate::deployment::SearchSpace;
     use crate::env::SyntheticEnv;
+    use crate::experiment::ExperimentRunner;
     use crate::search::trace::{NullSink, SearchTrace};
+    use crate::search::{CherryPick, ConvBo, HeterBo};
     use mlcd_cloudsim::InstanceType;
     use mlcd_perfmodel::{ThroughputModel, TrainingJob};
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     fn make_env() -> SyntheticEnv<fn(&Deployment) -> f64> {
         let job = TrainingJob::resnet_cifar10();
@@ -650,6 +682,105 @@ mod tests {
         SearchKernel::builder("test-kernel").seed(5).build()
     }
 
+    /// Delegates to the kernel's own acquisition, and checks every batched
+    /// value against the one-candidate method as it goes: each EI against
+    /// `utility_ei`, each POI against `utility_poi`, bit for bit. The POIs
+    /// of the batch that follows each EI batch (the scored candidates'
+    /// trace values; the CI stop's scan comes later) are logged in order
+    /// for comparison with the trace.
+    struct CheckedBatches {
+        inner: Box<dyn AcquisitionPolicy>,
+        pois: Rc<RefCell<Vec<(Deployment, u64)>>>,
+        traced_next: Cell<bool>,
+    }
+
+    impl AcquisitionPolicy for CheckedBatches {
+        fn utility_ei(
+            &self,
+            scenario: &Scenario,
+            total_samples: f64,
+            d: &Deployment,
+            pred: &mlcd_gp::Prediction,
+            incumbent: &Observation,
+        ) -> f64 {
+            self.inner.utility_ei(scenario, total_samples, d, pred, incumbent)
+        }
+
+        fn utility_poi(
+            &self,
+            scenario: &Scenario,
+            total_samples: f64,
+            d: &Deployment,
+            pred: &mlcd_gp::Prediction,
+            incumbent: &Observation,
+            threshold: f64,
+        ) -> f64 {
+            self.inner.utility_poi(scenario, total_samples, d, pred, incumbent, threshold)
+        }
+
+        fn penalty(&self, env: &dyn ProfilingEnv, scenario: &Scenario, d: &Deployment) -> f64 {
+            self.inner.penalty(env, scenario, d)
+        }
+
+        fn utility_ei_batch(
+            &self,
+            scenario: &Scenario,
+            total_samples: f64,
+            ds: &[Deployment],
+            preds: &[mlcd_gp::Prediction],
+            incumbent: &Observation,
+            bufs: &mut crate::acquisition::AcquisitionBuffers,
+        ) {
+            self.inner.utility_ei_batch(scenario, total_samples, ds, preds, incumbent, bufs);
+            self.traced_next.set(true);
+            assert_eq!(bufs.ei.len(), bufs.admitted.len());
+            for (&i, ei) in bufs.admitted.iter().zip(&bufs.ei) {
+                let want =
+                    self.inner.utility_ei(scenario, total_samples, &ds[i], &preds[i], incumbent);
+                assert_eq!(ei.to_bits(), want.to_bits(), "EI of {}", ds[i]);
+            }
+        }
+
+        fn utility_poi_batch(
+            &self,
+            scenario: &Scenario,
+            total_samples: f64,
+            ds: &[Deployment],
+            preds: &[mlcd_gp::Prediction],
+            incumbent: &Observation,
+            threshold: f64,
+            bufs: &mut crate::acquisition::AcquisitionBuffers,
+        ) {
+            let inner = &self.inner;
+            inner.utility_poi_batch(scenario, total_samples, ds, preds, incumbent, threshold, bufs);
+            assert_eq!(bufs.poi.len(), bufs.admitted.len());
+            let traced = self.traced_next.replace(false);
+            for (&i, poi) in bufs.admitted.iter().zip(&bufs.poi) {
+                let want = inner.utility_poi(
+                    scenario,
+                    total_samples,
+                    &ds[i],
+                    &preds[i],
+                    incumbent,
+                    threshold,
+                );
+                assert_eq!(poi.to_bits(), want.to_bits(), "POI of {}", ds[i]);
+                if traced {
+                    self.pois.borrow_mut().push((ds[i], want.to_bits()));
+                }
+            }
+        }
+    }
+
+    /// The golden searchers of `tests/golden_search.rs`, as kernels.
+    fn golden_kernels(seed: u64) -> [SearchKernel; 3] {
+        [
+            HeterBo::seeded(seed).core().kernel(),
+            ConvBo::seeded(seed).core().kernel(),
+            CherryPick::seeded(seed).core().kernel(),
+        ]
+    }
+
     #[test]
     fn tracing_does_not_perturb_the_search() {
         let scenario = Scenario::FastestUnlimited;
@@ -658,16 +789,63 @@ mod tests {
         let mut env_b = make_env();
         let mut trace = SearchTrace::default();
         let traced = kernel().run(&mut env_b, &scenario, &mut trace);
-        assert_eq!(silent.steps.len(), traced.steps.len());
-        for (a, b) in silent.steps.iter().zip(&traced.steps) {
-            assert_eq!(a.observation.deployment, b.observation.deployment);
-            assert_eq!(a.observation.speed.to_bits(), b.observation.speed.to_bits());
-        }
-        assert_eq!(silent.profile_cost, traced.profile_cost);
-        assert_eq!(silent.stop_reason, traced.stop_reason);
+        assert_eq!(silent.digest(), traced.digest());
         // And the trace actually narrates the run.
         assert_eq!(traced.steps.len(), trace.probes().count());
         assert_eq!(trace.stop_reason(), Some(traced.stop_reason));
+
+        // Every golden searcher × scenario × seed: an untraced run (which
+        // skips the trace-only POIs) and a traced one end bit-identical,
+        // and every traced GP-scored candidate's POI is `utility_poi`'s.
+        let job = TrainingJob::resnet_cifar10();
+        let runner = |seed| {
+            ExperimentRunner::new(seed).with_types(vec![
+                InstanceType::C5Xlarge,
+                InstanceType::C54xlarge,
+                InstanceType::C5n4xlarge,
+                InstanceType::P2Xlarge,
+            ])
+        };
+        let scenarios = [
+            Scenario::FastestUnlimited,
+            Scenario::CheapestWithDeadline(SimDuration::from_hours(12.0)),
+            Scenario::FastestWithBudget(Money::from_dollars(150.0)),
+        ];
+        let mut checked = 0;
+        for scenario in &scenarios {
+            for seed in [1, 2, 3] {
+                for (silent, mut traced) in
+                    golden_kernels(seed).into_iter().zip(golden_kernels(seed))
+                {
+                    let name = silent.name();
+                    let silent =
+                        silent.run(&mut runner(seed).profiler_for(&job), scenario, &mut NullSink);
+                    let pois = Rc::new(RefCell::new(Vec::new()));
+                    traced.acquisition = Box::new(CheckedBatches {
+                        inner: traced.acquisition,
+                        pois: pois.clone(),
+                        traced_next: Cell::new(false),
+                    });
+                    let mut trace = SearchTrace::default();
+                    let outcome =
+                        traced.run(&mut runner(seed).profiler_for(&job), scenario, &mut trace);
+                    let cell = format!("{name} / {scenario} / seed {seed}");
+                    assert_eq!(silent.digest(), outcome.digest(), "{cell}");
+                    // The logged POIs appear among the traced scores in
+                    // order (frontier scores, POI 1.0, sit between them).
+                    let pois = pois.borrow();
+                    let mut want = pois.iter().peekable();
+                    for e in &trace.events {
+                        if let TraceEvent::CandidateScored { deployment, poi, .. } = e {
+                            want.next_if(|w| **w == (*deployment, poi.to_bits()));
+                        }
+                    }
+                    assert!(want.next().is_none(), "{cell}: a traced POI differs from utility_poi");
+                    checked += pois.len();
+                }
+            }
+        }
+        assert!(checked > 1000, "only {checked} POIs checked");
     }
 
     #[test]

@@ -117,7 +117,7 @@ impl Surrogate {
         if observations.len() < 2 {
             return None;
         }
-        let scaler = InputScaler::from_bounds(&space.feature_bounds());
+        let scaler = InputScaler::from_bounds(space.feature_bounds());
         let xs: Vec<Vec<f64>> =
             observations.iter().map(|o| scaler.scale(&space.features(&o.deployment))).collect();
         let ys: Vec<f64> = observations.iter().map(|o| o.speed).collect();

@@ -107,14 +107,28 @@ pub enum TraceEvent {
 pub trait TraceSink {
     /// Record one event.
     fn record(&mut self, event: TraceEvent);
+
+    /// Whether this sink keeps what it is given. The kernel skips work
+    /// whose only use is an event field (each scored candidate's POI) for
+    /// a sink that returns `false`; the events themselves are still
+    /// recorded, and the search's decisions never depend on the answer.
+    fn keeps_events(&self) -> bool {
+        true
+    }
 }
 
-/// Discards every event — the zero-overhead sink for untraced searches.
+/// Discards every event — the sink for untraced searches. It reports that
+/// it keeps nothing, so the kernel does not compute the trace-only fields
+/// it would throw away.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullSink;
 
 impl TraceSink for NullSink {
     fn record(&mut self, _event: TraceEvent) {}
+
+    fn keeps_events(&self) -> bool {
+        false
+    }
 }
 
 /// An in-memory event stream collected from one search.
@@ -230,10 +244,11 @@ mod tests {
     }
 
     #[test]
-    fn null_sink_discards() {
+    fn null_sink_discards_and_says_so() {
         let mut s = NullSink;
         s.record(TraceEvent::Stopped { reason: StopReason::MaxSteps });
-        // Nothing to assert beyond "it compiles and does not panic".
+        assert!(!s.keeps_events());
+        assert!(SearchTrace::default().keeps_events());
     }
 
     #[test]

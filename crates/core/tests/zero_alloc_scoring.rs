@@ -1,7 +1,8 @@
 //! Pins the allocation-free contract of the candidate-scoring fast path:
 //! after one warm-up pass, `Surrogate::predict_batch_into` through a
-//! reused `ScoreWorkspace` performs zero heap allocations, even as the
-//! model grows between scoring passes (growth happens outside the
+//! reused `ScoreWorkspace`, and the batched EI and POI over reused
+//! `AcquisitionBuffers`, perform zero heap allocations, even as
+//! the model grows between scoring passes (growth happens outside the
 //! measured window, exactly as in the BO loop where the workspace is
 //! pre-reserved for the final model size).
 //!
@@ -11,8 +12,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
+use mlcd::acquisition::{AcquisitionBuffers, AcquisitionKind};
 use mlcd::deployment::{Deployment, SearchSpace};
 use mlcd::observation::Observation;
+use mlcd::scenario::Scenario;
+use mlcd::search::policies::{AcquisitionPolicy, CostPenalisedAcquisition};
 use mlcd::search::{RefitPolicy, Surrogate};
 use mlcd_cloudsim::{InstanceType, Money, SimDuration};
 use mlcd_gp::ScoreWorkspace;
@@ -86,19 +90,54 @@ fn warm_scoring_pass_allocates_nothing() {
     // buffer reaches its working size.
     let mut ws = ScoreWorkspace::new();
     ws.reserve(SearchSpace::FEATURE_DIM, observations.len() + 4, pool.len());
+    let mut bufs = AcquisitionBuffers::default();
+    bufs.reserve(pool.len());
+    let acq =
+        CostPenalisedAcquisition { kind: AcquisitionKind::ExpectedImprovement, cost_penalty: true };
+    // A deadline scenario scores in cost units, through the cost belief.
+    let scenarios =
+        [Scenario::FastestUnlimited, Scenario::CheapestWithDeadline(SimDuration::from_hours(40.0))];
+    let score = |ws: &ScoreWorkspace,
+                 bufs: &mut AcquisitionBuffers,
+                 incumbent: &Observation,
+                 scenario: &Scenario| {
+        let preds = ws.predictions();
+        bufs.admitted.clear();
+        bufs.admitted.extend((0..pool.len()).filter(|i| i % 5 != 3));
+        acq.utility_ei_batch(scenario, 5e6, &pool, preds, incumbent, bufs);
+        acq.utility_poi_batch(scenario, 5e6, &pool, preds, incumbent, 1.5, bufs);
+    };
     sur.as_ref().unwrap().predict_batch_into(&space, &pool, &mut ws);
+    for scenario in &scenarios {
+        score(&ws, &mut bufs, &observations[0], scenario);
+    }
 
     // Three BO steps: the measured scoring pass must not allocate; the
     // model extension between passes runs outside the armed window.
     for &n in &[33u32, 11, 47] {
         let sur_ref = sur.as_ref().unwrap();
+        let incumbent = observations[observations.len() / 2];
         ALLOCS.store(0, Ordering::SeqCst);
         ARMED.store(true, Ordering::SeqCst);
         sur_ref.predict_batch_into(&space, &pool, &mut ws);
+        for scenario in &scenarios {
+            score(&ws, &mut bufs, &incumbent, scenario);
+        }
         ARMED.store(false, Ordering::SeqCst);
         let n_allocs = ALLOCS.load(Ordering::SeqCst);
         assert_eq!(n_allocs, 0, "warm scoring pass allocated {n_allocs} times");
         assert_eq!(ws.predictions().len(), pool.len());
+        // The batches did score every admitted candidate, as the
+        // one-candidate path does.
+        let preds = ws.predictions();
+        assert_eq!(bufs.ei.len(), bufs.admitted.len());
+        let scenario = scenarios.last().unwrap();
+        for ((&i, ei), poi) in bufs.admitted.iter().zip(&bufs.ei).zip(&bufs.poi) {
+            let want = acq.utility_ei(scenario, 5e6, &pool[i], &preds[i], &incumbent);
+            assert_eq!(ei.to_bits(), want.to_bits(), "EI at {}", pool[i]);
+            let want = acq.utility_poi(scenario, 5e6, &pool[i], &preds[i], &incumbent, 1.5);
+            assert_eq!(poi.to_bits(), want.to_bits(), "POI at {}", pool[i]);
+        }
 
         observations.push(obs(n, speed(n)));
         sur = Surrogate::update(sur, &space, &observations, 7, &policy);

@@ -174,7 +174,7 @@ pub fn nlml_naive(
 }
 
 /// The `mlcd-linalg` correlation that evaluates `family`.
-fn correlation_of(family: KernelFamily) -> Correlation {
+pub(crate) fn correlation_of(family: KernelFamily) -> Correlation {
     match family {
         KernelFamily::SquaredExp => Correlation::SquaredExp,
         KernelFamily::Matern32 => Correlation::Matern32,

@@ -70,10 +70,11 @@ impl Prediction {
 /// Reusable buffers for repeated batch scoring.
 ///
 /// [`GpModel::predict_batch`] allocates a fresh query matrix, solve block
-/// and prediction vector per call; a `ScoreWorkspace` retains all of them
-/// across calls, so a BO loop that scores its candidate pool every step
-/// performs no heap allocation after the buffers have grown to the
-/// search's maximum footprint (or after one [`reserve`](Self::reserve)
+/// and prediction vector per call; a `ScoreWorkspace` retains its own
+/// buffers (the query features, `K*`, a four-query solve scratch and the
+/// predictions) across calls, so a BO loop that scores its candidate pool
+/// every step performs no heap allocation after the buffers have grown to
+/// the search's maximum footprint (or after one [`reserve`](Self::reserve)
 /// call up front). The caller writes scaled query features directly into
 /// the workspace ([`begin_queries`](Self::begin_queries) +
 /// [`push_query`](Self::push_query)), runs
@@ -87,8 +88,8 @@ pub struct ScoreWorkspace {
     m: usize,
     /// `n × m` cross-covariance block `K*`.
     kstar: Mat,
-    /// `V = L⁻¹ K*` solve buffer.
-    v: Mat,
+    /// Four queries' `K*` columns, interleaved by row, for the solve.
+    block: Vec<[f64; mlcd_linalg::LANES]>,
     preds: Vec<Prediction>,
 }
 
@@ -106,7 +107,7 @@ impl ScoreWorkspace {
             dim: 0,
             m: 0,
             kstar: Mat::zeros(0, 0),
-            v: Mat::zeros(0, 0),
+            block: Vec::new(),
             preds: Vec::new(),
         }
     }
@@ -119,8 +120,7 @@ impl ScoreWorkspace {
         self.preds.reserve(m_max);
         self.kstar.reshape_zeroed(n_max, m_max);
         self.kstar.reshape_zeroed(0, 0);
-        self.v.reshape_zeroed(n_max, m_max);
-        self.v.reshape_zeroed(0, 0);
+        self.block.reserve(n_max);
     }
 
     /// Start a new batch of `dim`-dimensional queries, clearing any
@@ -153,10 +153,19 @@ impl ScoreWorkspace {
     }
 }
 
+/// `xs` (one row of `dim` features per observation) dimension-major.
+fn by_dim(xs: &[Vec<f64>], dim: usize) -> Vec<f64> {
+    (0..dim).flat_map(|d| xs.iter().map(move |x| x[d])).collect()
+}
+
 /// A trained Gaussian-process regressor.
 #[derive(Debug, Clone)]
 pub struct GpModel {
     xs: Vec<Vec<f64>>,
+    /// The training inputs again, dimension-major (every observation's
+    /// first feature, then every second feature, …): the layout the
+    /// batched cross-covariance pass reads.
+    xs_by_dim: Vec<f64>,
     ys_raw: Vec<f64>,
     kernel: ArdKernel,
     noise_var: f64,
@@ -222,6 +231,7 @@ impl GpModel {
 
         Ok(GpModel {
             xs: xs.to_vec(),
+            xs_by_dim: by_dim(xs, d),
             ys_raw: ys.to_vec(),
             kernel,
             noise_var,
@@ -309,7 +319,10 @@ impl GpModel {
     /// [`predict`](Self::predict) per point — the per-column arithmetic is
     /// the same — but the factor is traversed once per pivot instead of
     /// once per query, which is what makes scoring a whole candidate pool
-    /// per BO step cheap.
+    /// per BO step cheap. (The scoring path,
+    /// [`predict_batch_into`](Self::predict_batch_into), also fills `K*`
+    /// with the batched kernel pass; this one keeps the pair-by-pair
+    /// [`ArdKernel::eval`] it is checked against.)
     ///
     /// # Panics
     /// Panics when any query has the wrong dimensionality.
@@ -344,15 +357,20 @@ impl GpModel {
     /// [`ScoreWorkspace::begin_queries`] / [`ScoreWorkspace::push_query`])
     /// and leaves the results in [`ScoreWorkspace::predictions`].
     /// Allocation-free once the workspace buffers have grown to the
-    /// largest (n, m) seen. The assembly order and per-column arithmetic
-    /// match `predict_batch` exactly, so predictions are bit-identical to
-    /// the allocating path.
+    /// largest (n, m) seen. `K*` is filled by
+    /// [`mlcd_linalg::fastpath::cross_covariance`], whose every entry is
+    /// bit for bit the [`ArdKernel::eval`] `predict_batch` calls, and each
+    /// query's mean and solve run four queries at a time in
+    /// [`mlcd_linalg::fastpath::posterior_moments`], with `predict_batch`'s
+    /// per-column operations in its order, so predictions are
+    /// bit-identical to the allocating path. No `L⁻¹K*` block is kept:
+    /// the solve runs in a four-column scratch.
     ///
     /// # Panics
     /// Panics when the staged queries' dimensionality differs from the
     /// kernel's.
     pub fn predict_batch_into(&self, ws: &mut ScoreWorkspace) {
-        let ScoreWorkspace { ref q, dim, m, ref mut kstar, ref mut v, ref mut preds } = *ws;
+        let ScoreWorkspace { ref q, dim, m, ref mut kstar, ref mut block, ref mut preds, .. } = *ws;
         preds.clear();
         if m == 0 {
             return;
@@ -360,24 +378,25 @@ impl GpModel {
         assert_eq!(dim, self.dim(), "predict_batch_into: dim mismatch");
         let n = self.n_obs();
         kstar.reshape_zeroed(n, m);
-        for c in 0..m {
-            let x = &q[c * dim..(c + 1) * dim];
-            for (kic, xi) in kstar.col_mut(c).iter_mut().zip(&self.xs) {
-                *kic = self.kernel.eval(xi, x);
-            }
-        }
-        self.chol.solve_lower_multi_into(kstar, v);
+        mlcd_linalg::fastpath::cross_covariance(
+            fit::correlation_of(self.kernel.family()),
+            self.kernel.signal_var(),
+            self.kernel.lengthscales(),
+            &self.xs_by_dim,
+            &q[..m * dim],
+            kstar.col_block_mut(0, m),
+        );
         let k_diag = self.kernel.diag();
-        for c in 0..m {
-            let mean_z = mlcd_linalg::dot(kstar.col(c), &self.alpha);
-            let vc = v.col(c);
-            let var_z = (k_diag - mlcd_linalg::dot(vc, vc)).max(0.0);
+        let moments = |mean_z: f64, v_sq: f64| {
+            let var_z = (k_diag - v_sq).max(0.0);
             preds.push(Prediction {
                 mean: self.out_scaler.inverse(mean_z),
                 var: self.out_scaler.inverse_var(var_z),
                 var_with_noise: self.out_scaler.inverse_var(var_z + self.noise_var),
             });
-        }
+        };
+        let kstar = kstar.as_slice();
+        mlcd_linalg::fastpath::posterior_moments(self.chol.l(), &self.alpha, kstar, block, moments);
     }
 
     /// Retrain with one extra observation, keeping the same hyperparameters.
@@ -430,6 +449,7 @@ impl GpModel {
             - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
 
         Ok(GpModel {
+            xs_by_dim: by_dim(&xs, self.dim()),
             xs,
             ys_raw: ys,
             kernel: self.kernel.clone(),
@@ -651,6 +671,47 @@ mod tests {
         ws.begin_queries(1);
         model.predict_batch_into(&mut ws);
         assert!(ws.predictions().is_empty());
+    }
+
+    #[test]
+    fn batched_kstar_equals_kernel_eval_for_every_family() {
+        // Duplicated queries (r² = 0), n·m not a multiple of 4, and far
+        // queries whose `exp` argument leaves the port's main range.
+        let xs: Vec<Vec<f64>> =
+            (0..7).map(|i| vec![0.13 * i as f64, (i as f64).sin(), 0.5]).collect();
+        let ys: Vec<f64> = (0..7).map(|i| (i as f64 * 0.9).cos()).collect();
+        let mut queries: Vec<Vec<f64>> = xs.iter().step_by(2).cloned().collect();
+        queries.extend((0..9).map(|c| vec![0.07 * c as f64, -0.3 * c as f64, 0.1]));
+        queries.push(vec![400.0, -300.0, 900.0]);
+        for family in KernelFamily::ALL {
+            let kernel = ArdKernel::new(family, 1.7, vec![0.3, 0.05, 1.2]);
+            let gp = GpModel::with_hyperparams(&xs, &ys, kernel.clone(), 0.01).unwrap();
+            let (n, m) = (xs.len(), queries.len());
+            assert_ne!((n * m) % 4, 0);
+            let mut kstar = vec![f64::NAN; n * m];
+            mlcd_linalg::fastpath::cross_covariance(
+                fit::correlation_of(family),
+                kernel.signal_var(),
+                kernel.lengthscales(),
+                &gp.xs_by_dim,
+                &queries.concat(),
+                &mut kstar,
+            );
+            for (c, q) in queries.iter().enumerate() {
+                for (i, x) in xs.iter().enumerate() {
+                    let want = kernel.eval(x, q);
+                    let got = kstar[c * n + i];
+                    assert_eq!(got.to_bits(), want.to_bits(), "{family:?} ({i}, {c})");
+                }
+            }
+            let mut ws = ScoreWorkspace::new();
+            ws.begin_queries(3);
+            for q in &queries {
+                ws.push_query().copy_from_slice(q);
+            }
+            gp.predict_batch_into(&mut ws);
+            assert_eq!(ws.predictions(), &gp.predict_batch(&queries)[..], "{family:?}");
+        }
     }
 
     #[test]

@@ -322,16 +322,6 @@ impl Chol {
         y
     }
 
-    /// [`solve_lower_multi`](Self::solve_lower_multi) into a caller-owned
-    /// buffer: `out` becomes `Y` with `L Y = B`, reusing its allocation
-    /// whenever `B`'s elements fit its capacity. Bit-identical to the
-    /// allocating path (same blocked elimination on a copy of `b`).
-    pub fn solve_lower_multi_into(&self, b: &Mat, out: &mut Mat) {
-        assert_eq!(b.rows(), self.order(), "solve_lower_multi_into: dimension mismatch");
-        out.copy_from(b);
-        solve_lower_multi_in_place(&self.l, out);
-    }
-
     /// Solve `Lᵀ x = y` (back substitution).
     pub fn solve_upper(&self, y: &[f64]) -> Vec<f64> {
         assert_eq!(y.len(), self.order(), "solve_upper: dimension mismatch");
@@ -563,18 +553,6 @@ mod tests {
                     assert_eq!(yv.to_bits(), sv.to_bits(), "col {col} of width {cols}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn solve_lower_multi_into_matches_allocating_path() {
-        let c = Chol::factor(&spd3()).unwrap();
-        let mut out = Mat::zeros(0, 0);
-        for cols in [6usize, 2, 9] {
-            let b = Mat::from_fn(3, cols, |i, j| (i as f64 + 1.0) * 0.4 - j as f64 * 1.3);
-            let y = c.solve_lower_multi(&b);
-            c.solve_lower_multi_into(&b, &mut out);
-            assert_eq!(out.as_slice(), y.as_slice());
         }
     }
 

@@ -1,5 +1,6 @@
-//! GP likelihood fast path: bit-exact ports of glibc's `exp` and `log` and
-//! AVX2 compilations of the likelihood kernels, chosen once per process.
+//! GP fast path: bit-exact ports of glibc's `exp` and `log` and AVX2
+//! compilations of the likelihood kernels and of the candidate-scoring
+//! passes, chosen once per process.
 //!
 //! Every marginal-likelihood evaluation of a GP fit fills a kernel matrix
 //! (one `exp` per pair of observations), factors it, runs one forward
@@ -15,6 +16,16 @@
 //! four-lane value type (`fastpath/vector.rs`): `[f64; 4]` in the baseline
 //! compilation, one `__m256d` in the AVX2 one.
 //!
+//! A BO step's scoring pass has three more, each compiled the same two
+//! ways on the same lane type: the posterior's cross-covariance fill and
+//! its per-query mean and forward solve, four queries at a time
+//! ([`cross_covariance`], [`posterior_moments`], `fastpath/posterior.rs`),
+//! and the standard normal's Φ and φ over a batch of arguments
+//! ([`norm_cdf_into`], [`norm_pdf_into`], `fastpath/normal.rs`), whose
+//! `erfc` recurrences run four arguments a lane each. Each lane performs
+//! the scalar function's operations in its order, so every value has the
+//! bits of the one-at-a-time path.
+//!
 //! # The `exp` port
 //!
 //! glibc (2.28 and later) evaluates `exp` with a fixed algorithm: reduce
@@ -27,6 +38,9 @@
 //! port is branch-free, so LLVM vectorises the loops around it; inputs
 //! outside the main range (tiny, huge, NaN, ±∞) are recomputed by
 //! [`f64::exp`] in a second pass that runs only when such an input occurs.
+//! The scoring passes call the same port written on four lanes (the
+//! lane value's `exp`, the table read by two gathers), which the
+//! self-check probes alongside the scalar one.
 //!
 //! # The `log` port
 //!
@@ -67,6 +81,8 @@
 mod lanes;
 #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
 mod log;
+mod normal;
+mod posterior;
 mod vector;
 
 pub use lanes::{NlmlLanes, NlmlProblem};
@@ -135,6 +151,112 @@ pub(crate) fn solve_lower_in_place(l: &Mat, y: &mut [f64]) {
     chol::solve_lower_in_place(l, y)
 }
 
+/// The cross-covariance block `K*` of a GP posterior: for `n`
+/// observations and `m` queries in `lengthscales.len()` dimensions,
+/// `out[c·n + i] = signal_var · ρ(r)` with
+/// `r² = Σ_d ((obs[d·n + i] − queries[c·dim + d]) / ℓ_d)²`, column-major
+/// with one column per query. Bit for bit what `mlcd-gp`'s
+/// `ArdKernel::eval(x_i, q_c)` returns for the family `kind`, whose
+/// squared exponential here is `exp(−0.5·r·r)` from `r = √r²` (see
+/// `fastpath/posterior.rs`).
+///
+/// `obs` is dimension-major (all observations' first feature, then all
+/// second features, …); `queries` holds one query's features after
+/// another.
+///
+/// # Panics
+/// Panics when there are no lengthscales or the buffers do not agree on
+/// `n` and `m`.
+pub fn cross_covariance(
+    kind: Correlation,
+    signal_var: f64,
+    lengthscales: &[f64],
+    obs: &[f64],
+    queries: &[f64],
+    out: &mut [f64],
+) {
+    let dim = lengthscales.len();
+    assert!(dim > 0, "cross_covariance: no lengthscales");
+    assert!(obs.len().is_multiple_of(dim), "cross_covariance: ragged observations");
+    assert!(queries.len().is_multiple_of(dim), "cross_covariance: ragged queries");
+    let (n, m) = (obs.len() / dim, queries.len() / dim);
+    assert_eq!(out.len(), n * m, "cross_covariance: output size");
+    if out.is_empty() {
+        return;
+    }
+    #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+    if fast_path_enabled() {
+        // SAFETY: `fast_path_enabled` is true only after `is_x86_feature_detected!`
+        // reported both `avx2` and `fma` on this CPU.
+        return unsafe {
+            posterior::avx2::cross_covariance(kind, signal_var, lengthscales, obs, queries, out)
+        };
+    }
+    posterior::baseline::cross_covariance(kind, signal_var, lengthscales, obs, queries, out)
+}
+
+/// The two reductions a GP posterior takes of each query's `K*` column,
+/// four queries at a time: for every query `c` in order,
+/// `f(mean, sq)` with `mean = Σ_i kstar[c·n + i]·alpha[i]` and
+/// `sq = Σ_i v_i²` for `v = L⁻¹ k*_c` (`l` the lower Cholesky factor).
+/// Bit for bit `dot(k*_c, α)` and `dot(v, v)` after
+/// [`crate::Chol::solve_lower`] (see `fastpath/posterior.rs`). `block` is
+/// scratch of `n` rows, kept by the caller so that a warm call allocates
+/// nothing.
+///
+/// # Panics
+/// Panics when `l` is not `n × n` for `n = alpha.len() > 0`, or `kstar`
+/// is not whole columns of `n`.
+pub fn posterior_moments(
+    l: &Mat,
+    alpha: &[f64],
+    kstar: &[f64],
+    block: &mut Vec<[f64; LANES]>,
+    f: impl FnMut(f64, f64),
+) {
+    let n = alpha.len();
+    assert!(n > 0 && l.rows() == n && l.cols() == n, "posterior_moments: factor order");
+    assert!(kstar.len().is_multiple_of(n), "posterior_moments: ragged K*");
+    #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+    if fast_path_enabled() {
+        // SAFETY: `fast_path_enabled` is true only after `is_x86_feature_detected!`
+        // reported both `avx2` and `fma` on this CPU.
+        return unsafe { posterior::avx2::moments(l, alpha, kstar, block, f) };
+    }
+    posterior::baseline::moments(l, alpha, kstar, block, f)
+}
+
+/// `out[i] = Φ(xs[i])`, bit for bit [`crate::norm_cdf`], four arguments
+/// at a time (see `fastpath/normal.rs`).
+///
+/// # Panics
+/// Panics when the slices differ in length.
+pub fn norm_cdf_into(xs: &[f64], out: &mut [f64]) {
+    assert_eq!(xs.len(), out.len(), "norm_cdf_into: length mismatch");
+    #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+    if fast_path_enabled() {
+        // SAFETY: `fast_path_enabled` is true only after `is_x86_feature_detected!`
+        // reported both `avx2` and `fma` on this CPU.
+        return unsafe { normal::avx2::norm_cdf(xs, out) };
+    }
+    normal::baseline::norm_cdf(xs, out)
+}
+
+/// `out[i] = φ(xs[i])`, bit for bit [`crate::norm_pdf`].
+///
+/// # Panics
+/// Panics when the slices differ in length.
+pub fn norm_pdf_into(xs: &[f64], out: &mut [f64]) {
+    assert_eq!(xs.len(), out.len(), "norm_pdf_into: length mismatch");
+    #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+    if fast_path_enabled() {
+        // SAFETY: `fast_path_enabled` is true only after `is_x86_feature_detected!`
+        // reported both `avx2` and `fma` on this CPU.
+        return unsafe { normal::avx2::norm_pdf(xs, out) };
+    }
+    normal::baseline::norm_pdf(xs, out)
+}
+
 /// An `exp` for the likelihood's passes: exact wherever `covers` holds,
 /// unspecified (but harmless) elsewhere.
 trait Exp {
@@ -160,6 +282,8 @@ impl Exp for Libm {
 /// glibc's `exp` main path, ported from its `__exp_fma` build.
 #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
 mod port {
+    use super::vector::Ymm;
+
     /// `128 / ln 2`.
     const INV_LN2_N: f64 = f64::from_bits(0x4067_1547_652b_82fe);
     /// `1.5 · 2⁵²`: adding it rounds to an integer held in the low mantissa bits.
@@ -274,6 +398,51 @@ mod port {
         scale.mul_add(tmp, scale)
     }
 
+    /// [`exp`] on four lanes at once, the table read by two gathers; lanes
+    /// off the main range are recomputed by [`f64::exp`], so every lane
+    /// has libm's bits.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn exp_lanes(x: Ymm) -> Ymm {
+        use std::arch::x86_64::*;
+        let splat = Ymm::splat;
+        let int = |v: i64| _mm256_set1_epi64x(v);
+        let kd = x.fma(splat(INV_LN2_N), splat(SHIFT));
+        let ki = _mm256_castpd_si256(kd.0);
+        let kd = kd.sub(splat(SHIFT));
+        let r = kd.fma(splat(NEG_LN2_LO_N), kd.fma(splat(NEG_LN2_HI_N), x));
+        let at = _mm256_slli_epi64::<1>(_mm256_and_si256(ki, int(127)));
+        let base = TAB.as_ptr().cast::<f64>();
+        // SAFETY: every index is `2·(k & 127)`, so at most 254, inside the
+        // 256-entry table; `u64` and `f64` have the same size and alignment.
+        let tail = Ymm(unsafe { _mm256_i64gather_pd::<8>(base, at) });
+        // SAFETY: as above, with `2·(k & 127) + 1 ≤ 255`.
+        let hi = unsafe { _mm256_i64gather_pd::<8>(base, _mm256_add_epi64(at, int(1))) };
+        let sbits = _mm256_add_epi64(_mm256_castpd_si256(hi), _mm256_slli_epi64::<45>(ki));
+        let r2 = r.mul(r);
+        let tmp = r2
+            .mul(r2)
+            .fma(r.fma(splat(C5), splat(C4)), r2.fma(r.fma(splat(C3), splat(C2)), tail.add(r)));
+        let scale = Ymm(_mm256_castsi256_pd(sbits));
+        let y = scale.fma(tmp, scale);
+        // Off the main path (`2⁻⁵⁴ ≤ |x| < 512` fails): libm.
+        let abstop =
+            _mm256_and_si256(_mm256_srli_epi64::<52>(_mm256_castpd_si256(x.0)), int(0x7ff));
+        let below = _mm256_cmpgt_epi64(int(0x3c9), abstop);
+        let above = _mm256_cmpgt_epi64(abstop, int(0x407));
+        let missed = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_or_si256(below, above)));
+        if missed == 0 {
+            return y;
+        }
+        let (xs, mut out) = (x.to_array(), y.to_array());
+        for (t, (o, v)) in out.iter_mut().zip(xs).enumerate() {
+            if missed >> t & 1 == 1 {
+                *o = v.exp();
+            }
+        }
+        Ymm::load(&out)
+    }
+
     /// The port as an [`Exp`](super::Exp) for the featured instantiations.
     pub(super) struct Port;
 
@@ -384,10 +553,15 @@ mod avx2 {
         log_hard.into_iter().find(|&x| !log_agrees(x)).map(|x| Mismatch { function: "log", x })
     }
 
+    /// The scalar port and its four-lane form both give libm's bits.
     #[target_feature(enable = "avx2,fma")]
     fn exp_agrees(x: f64) -> bool {
         let x = std::hint::black_box(x);
-        port::covers(x) && port::exp(x).to_bits() == x.exp().to_bits()
+        let want = x.exp().to_bits();
+        let lanes = Ymm::splat(x).exp().to_array();
+        port::covers(x)
+            && port::exp(x).to_bits() == want
+            && lanes.iter().all(|v| v.to_bits() == want)
     }
 
     #[target_feature(enable = "avx2,fma")]
@@ -709,6 +883,38 @@ mod tests {
         }
     }
 
+    /// The four-lane `exp` of the AVX2 lane value on four inputs.
+    fn vector_exp(xs: [f64; LANES]) -> [f64; LANES] {
+        assert!(featured());
+        #[target_feature(enable = "avx2,fma")]
+        fn run(xs: [f64; LANES]) -> [f64; LANES] {
+            vector::Ymm::load(&xs).exp().to_array()
+        }
+        // SAFETY: callers skip the test unless both features are present.
+        unsafe { run(xs) }
+    }
+
+    #[test]
+    fn vector_exp_matches_libm_on_edges_and_random_inputs() {
+        if !featured() {
+            return;
+        }
+        let tiny = 2f64.powi(-54);
+        let mut xs = vec![0.0, -0.0, 1e-300, -1e-300, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        for e in [tiny, -tiny, 512.0, -512.0, 709.78, -745.13, 1.0, -1.0] {
+            xs.extend([e, e.next_up(), e.next_down()]);
+        }
+        let mut rng = SmallRng::seed_from_u64(0xe4);
+        xs.extend((0..1_000_000).map(|_| rng.gen_range(-750.0..750.0)));
+        for chunk in xs.chunks(LANES) {
+            let mut batch = [chunk[0]; LANES];
+            batch[..chunk.len()].copy_from_slice(chunk);
+            for (g, x) in vector_exp(batch).into_iter().zip(batch) {
+                assert_same_bits(g, x.exp(), &format!("exp({x:e})"));
+            }
+        }
+    }
+
     #[test]
     fn lane_exp_matches_libm_on_random_inputs() {
         let mut rng = SmallRng::seed_from_u64(0x5eed);
@@ -794,6 +1000,296 @@ mod tests {
                         let want = scalar_entry(kind, sf2[t], v[t]);
                         assert_same_bits(g[t], want, &format!("{kind:?} r2 = {:e}", v[t]));
                     }
+                }
+            }
+        }
+    }
+
+    /// One of the batch passes of `fastpath/normal.rs` through each
+    /// compilation that runs here; all must agree before the baseline's
+    /// values are returned.
+    fn normal_pass(
+        xs: &[f64],
+        base: fn(&[f64], &mut [f64]),
+        // SAFETY: `fast` is an `avx2,fma` compilation; it is called only
+        // after `featured()` reports both features.
+        fast: unsafe fn(&[f64], &mut [f64]),
+    ) -> Vec<f64> {
+        let mut want = vec![f64::NAN; xs.len()];
+        base(xs, &mut want);
+        if featured() {
+            let mut got = vec![f64::NAN; xs.len()];
+            // SAFETY: both target features were detected just above.
+            unsafe { fast(xs, &mut got) };
+            for ((g, w), x) in got.iter().zip(&want).zip(xs) {
+                assert_same_bits(*g, *w, &format!("avx2 vs baseline at {x:e}"));
+            }
+        }
+        want
+    }
+
+    fn lane_erfc(ys: &[f64]) -> Vec<f64> {
+        normal_pass(ys, normal::baseline::erfc, normal::avx2::erfc)
+    }
+
+    fn lane_norm_cdf(xs: &[f64]) -> Vec<f64> {
+        normal_pass(xs, normal::baseline::norm_cdf, normal::avx2::norm_cdf)
+    }
+
+    fn lane_norm_pdf(xs: &[f64]) -> Vec<f64> {
+        normal_pass(xs, normal::baseline::norm_pdf, normal::avx2::norm_pdf)
+    }
+
+    /// `v` and its `k` nearest neighbours on each side.
+    fn around(v: f64, k: usize) -> impl Iterator<Item = f64> {
+        let (mut up, mut down) = (v, v);
+        let mut out = vec![v];
+        for _ in 0..k {
+            up = up.next_up();
+            down = down.next_down();
+            out.extend([up, down]);
+        }
+        out.into_iter()
+    }
+
+    /// Arguments on every branch edge and special value of `erfc` and `Φ`.
+    fn normal_edges() -> Vec<f64> {
+        let mut xs = Vec::new();
+        let r2 = 2.0 * std::f64::consts::SQRT_2;
+        for edge in [2.0, -2.0, r2, -r2, 0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 38.5, -38.5] {
+            xs.extend(around(edge, 6));
+        }
+        xs.extend([
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE.next_down(),
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ]);
+        xs
+    }
+
+    /// `n` arguments: uniform over `±span`, log-uniform magnitudes and the
+    /// neighbourhoods of the branch edges.
+    fn random_normal_args(rng: &mut SmallRng, n: usize, span: f64) -> Vec<f64> {
+        (0..n)
+            .map(|i| match i % 4 {
+                0 | 1 => rng.gen_range(-span..span),
+                2 => {
+                    let mag = rng.gen_range(-40.0f64..6.0).exp2();
+                    if rng.gen::<bool>() {
+                        mag
+                    } else {
+                        -mag
+                    }
+                }
+                _ => {
+                    let edge = [2.0, -2.0, 2.0 * std::f64::consts::SQRT_2][i / 4 % 3];
+                    edge + rng.gen_range(-1e-9..1e-9)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lane_erfc_matches_the_scalar_on_branch_edges_and_special_inputs() {
+        let ys = normal_edges();
+        // Every group shape: the same inputs at every offset mod 4, so
+        // each one lands in each lane and in partial groups.
+        for skip in 0..LANES {
+            let ys = &ys[skip..];
+            for (g, &y) in lane_erfc(ys).iter().zip(ys) {
+                let want = crate::stats::erfc(y);
+                assert_same_bits(*g, want, &format!("erfc({y:e} = {:#x})", y.to_bits()));
+            }
+        }
+        // Both signs of zero reach the series and come back as 1.
+        assert_eq!(lane_erfc(&[0.0, -0.0]), [1.0, 1.0]);
+    }
+
+    #[test]
+    fn lane_norm_cdf_and_pdf_match_the_scalar_on_edges_and_random_inputs() {
+        let mut rng = SmallRng::seed_from_u64(0xcdf);
+        let mut xs = normal_edges();
+        xs.extend(random_normal_args(&mut rng, 1_000_000, 45.0));
+        for (g, &x) in lane_norm_cdf(&xs).iter().zip(&xs) {
+            let want = crate::norm_cdf(x);
+            assert_same_bits(*g, want, &format!("Φ({x:e} = {:#x})", x.to_bits()));
+        }
+        for (g, &x) in lane_norm_pdf(&xs).iter().zip(&xs) {
+            let want = crate::norm_pdf(x);
+            assert_same_bits(*g, want, &format!("φ({x:e} = {:#x})", x.to_bits()));
+        }
+        // The dispatched entry points agree too.
+        let (mut cdf, mut pdf) = (vec![0.0; 4099], vec![0.0; 4099]);
+        norm_cdf_into(&xs[..4099], &mut cdf);
+        norm_pdf_into(&xs[..4099], &mut pdf);
+        for ((c, p), &x) in cdf.iter().zip(&pdf).zip(&xs) {
+            assert_same_bits(*c, crate::norm_cdf(x), "dispatched Φ");
+            assert_same_bits(*p, crate::norm_pdf(x), "dispatched φ");
+        }
+    }
+
+    #[test]
+    #[ignore = "sweeps 10⁸ inputs; run with --ignored in release"]
+    fn lane_erfc_sweep_matches_the_scalar() {
+        // The compilation this host dispatches to; the random-input test
+        // above holds the two to each other.
+        let lane_erfc = |ys: &[f64]| {
+            let mut out = vec![f64::NAN; ys.len()];
+            if fast_path_enabled() {
+                // SAFETY: the fast path is enabled only on an avx2+fma CPU.
+                unsafe { normal::avx2::erfc(ys, &mut out) };
+            } else {
+                normal::baseline::erfc(ys, &mut out);
+            }
+            out
+        };
+        let mut rng = SmallRng::seed_from_u64(0xe7fc);
+        let mut checked = 0u64;
+        for _ in 0..100 {
+            let ys = random_normal_args(&mut rng, 1_000_000, 30.0);
+            for (g, &y) in lane_erfc(&ys).iter().zip(&ys) {
+                let want = crate::stats::erfc(y);
+                assert!(same_bits(*g, want), "erfc {y:e} ({:#x}): {g:e} vs {want:e}", y.to_bits());
+            }
+            checked += ys.len() as u64;
+        }
+        eprintln!("erfc sweep: {checked} inputs equal the scalar");
+    }
+
+    /// `ArdKernel::eval`'s expression for one pair: `r²` accumulated over
+    /// `(x_d − q_d) / ℓ_d`, `r = √r²`, the family's correlation of `r`.
+    fn scalar_kernel(kind: Correlation, sf2: f64, ls: &[f64], x: &[f64], q: &[f64]) -> f64 {
+        let mut r2 = 0.0;
+        for d in 0..ls.len() {
+            let z = (x[d] - q[d]) / ls[d];
+            r2 += z * z;
+        }
+        let r = r2.sqrt();
+        let rho = match kind {
+            Correlation::SquaredExp => (-0.5 * r * r).exp(),
+            Correlation::Matern32 => {
+                let s = 3.0_f64.sqrt() * r;
+                (1.0 + s) * (-s).exp()
+            }
+            Correlation::Matern52 => {
+                let s = 5.0_f64.sqrt() * r;
+                (1.0 + s + s * s / 3.0) * (-s).exp()
+            }
+        };
+        sf2 * rho
+    }
+
+    #[test]
+    fn cross_covariance_matches_the_scalar_kernel_for_every_family() {
+        let mut rng = SmallRng::seed_from_u64(0x5ca7);
+        for kind in [Correlation::SquaredExp, Correlation::Matern32, Correlation::Matern52] {
+            // n·m runs through multiples of 4 and every remainder, past
+            // the 64-element chunk.
+            for (n, m, dim) in
+                [(1, 1, 1), (2, 3, 5), (5, 7, 5), (4, 16, 3), (13, 29, 5), (30, 9, 2)]
+            {
+                let ls: Vec<f64> = (0..dim).map(|_| rng.gen_range(0.05..1.5)).collect();
+                // Tiny lengthscales put far pairs' `exp` argument past −512.
+                let ls_tiny: Vec<f64> = ls.iter().map(|l| l * 1e-3).collect();
+                let xs: Vec<Vec<f64>> =
+                    (0..n).map(|_| (0..dim).map(|_| rng.gen::<f64>()).collect()).collect();
+                // Every third query duplicates an observation (r² = 0).
+                let qs: Vec<Vec<f64>> = (0..m)
+                    .map(|c| {
+                        if c % 3 == 0 {
+                            xs[c % n].clone()
+                        } else {
+                            (0..dim).map(|_| rng.gen_range(-0.5..1.5)).collect()
+                        }
+                    })
+                    .collect();
+                let obs: Vec<f64> = (0..dim).flat_map(|d| xs.iter().map(move |x| x[d])).collect();
+                let flat_q: Vec<f64> = qs.concat();
+                let sf2 = rng.gen_range(0.1..10.0);
+                for ls in [&ls, &ls_tiny] {
+                    let mut base = vec![f64::NAN; n * m];
+                    posterior::baseline::cross_covariance(kind, sf2, ls, &obs, &flat_q, &mut base);
+                    let mut dispatched = vec![f64::NAN; n * m];
+                    cross_covariance(kind, sf2, ls, &obs, &flat_q, &mut dispatched);
+                    let mut fast = base.clone();
+                    if featured() {
+                        // SAFETY: both target features were detected just above.
+                        unsafe {
+                            posterior::avx2::cross_covariance(
+                                kind, sf2, ls, &obs, &flat_q, &mut fast,
+                            )
+                        };
+                    }
+                    for c in 0..m {
+                        for i in 0..n {
+                            let want = scalar_kernel(kind, sf2, ls, &xs[i], &qs[c]);
+                            let what = format!("{kind:?} n={n} m={m} ({i}, {c})");
+                            for got in [&base, &fast, &dispatched] {
+                                assert_same_bits(got[c * n + i], want, &what);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn posterior_moments_match_dot_and_the_forward_solve() {
+        let mut rng = SmallRng::seed_from_u64(0x3e5);
+        for n in [1usize, 2, 3, 5, 8, 13, 30] {
+            let chol = crate::Chol::factor(&seeded_gram(&mut rng, n, n, 0.5)).unwrap();
+            let mixed: Vec<f64> =
+                (0..n).map(|i| if i == 1 { -0.0 } else { rng.gen_range(-2.0..2.0) }).collect();
+            // All non-positive: the zero column's mean is then −0.0, the
+            // empty sum's sign, and +0.0 from any other start.
+            let negative: Vec<f64> = mixed.iter().map(|a| -a.abs()).collect();
+            let cases = [&mixed, &negative].map(|a| [1usize, 3, 4, 7, 9].map(|m| (a, m)));
+            for (alpha, m) in cases.into_iter().flatten() {
+                // Column 0 is all zeros, so its sums come out of the empty
+                // sum's sign; the others are random.
+                let kstar: Vec<f64> = (0..n * m)
+                    .map(|e| if e < n { 0.0 } else { rng.gen_range(-1.0..1.0) })
+                    .collect();
+                let want: Vec<(u64, u64)> = kstar
+                    .chunks_exact(n)
+                    .map(|col| {
+                        let v = chol.solve_lower(col);
+                        (crate::dot(col, alpha).to_bits(), crate::dot(&v, &v).to_bits())
+                    })
+                    .collect();
+                let mut block = Vec::new();
+                let mut runs: Vec<(&str, Vec<(u64, u64)>)> = Vec::new();
+                let mut got = Vec::new();
+                posterior::baseline::moments(chol.l(), alpha, &kstar, &mut block, |a, b| {
+                    got.push((a.to_bits(), b.to_bits()))
+                });
+                runs.push(("baseline", got));
+                if featured() {
+                    let mut got = Vec::new();
+                    // SAFETY: both target features were detected just above.
+                    unsafe {
+                        posterior::avx2::moments(chol.l(), alpha, &kstar, &mut block, |a, b| {
+                            got.push((a.to_bits(), b.to_bits()))
+                        })
+                    };
+                    runs.push(("avx2", got));
+                }
+                let mut got = Vec::new();
+                posterior_moments(chol.l(), alpha, &kstar, &mut block, |a, b| {
+                    got.push((a.to_bits(), b.to_bits()))
+                });
+                runs.push(("dispatched", got));
+                for (name, got) in runs {
+                    assert_eq!(got, want, "{name} n={n} m={m}");
                 }
             }
         }

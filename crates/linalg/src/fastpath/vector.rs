@@ -98,6 +98,37 @@ impl Array4 {
         self.map(f64::sqrt)
     }
 
+    /// The sign flipped (not `0 − lane`, which loses `−0`'s sign).
+    #[inline(always)]
+    pub(super) fn neg(self) -> Self {
+        self.map(|a| -a)
+    }
+
+    /// The sign cleared.
+    #[inline(always)]
+    pub(super) fn abs(self) -> Self {
+        self.map(f64::abs)
+    }
+
+    /// The larger lane, or `o`'s where either is NaN or both are zero, as
+    /// x86's `maxpd` orders its operands.
+    #[inline(always)]
+    pub(super) fn max(self, o: Self) -> Self {
+        self.zip(o, |a, b| if a > b { a } else { b })
+    }
+
+    /// Mask: `lane < o` (false where either is NaN).
+    #[inline(always)]
+    pub(super) fn lt(self, o: Self) -> Self {
+        self.zip(o, |a, b| mask_bit(a < b))
+    }
+
+    /// The exponential, libm's.
+    #[inline(always)]
+    pub(super) fn exp(self) -> Self {
+        self.map(f64::exp)
+    }
+
     /// The natural logarithm, libm's.
     #[inline(always)]
     pub(super) fn ln(self) -> Self {
@@ -212,11 +243,48 @@ mod ymm {
             Ymm(_mm256_sqrt_pd(self.0))
         }
 
+        /// The sign flipped (not `0 − lane`, which loses `−0`'s sign).
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        pub(in crate::fastpath) fn neg(self) -> Self {
+            Ymm(_mm256_xor_pd(self.0, _mm256_set1_pd(-0.0)))
+        }
+
+        /// The sign cleared.
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        pub(in crate::fastpath) fn abs(self) -> Self {
+            Ymm(_mm256_andnot_pd(_mm256_set1_pd(-0.0), self.0))
+        }
+
+        /// The larger lane, or `o`'s where either is NaN or both are zero
+        /// (`maxpd`'s operand order).
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        pub(in crate::fastpath) fn max(self, o: Self) -> Self {
+            Ymm(_mm256_max_pd(self.0, o.0))
+        }
+
+        /// Mask: `lane < o` (false where either is NaN).
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        pub(in crate::fastpath) fn lt(self, o: Self) -> Self {
+            Ymm(_mm256_cmp_pd::<_CMP_LT_OQ>(self.0, o.0))
+        }
+
         /// `self · b + c` with one rounding (the ports only).
         #[inline]
         #[target_feature(enable = "avx2,fma")]
         pub(in crate::fastpath) fn fma(self, b: Self, c: Self) -> Self {
             Ymm(_mm256_fmadd_pd(self.0, b.0, c.0))
+        }
+
+        /// The exponential, bit for bit glibc's (the `exp` port, with libm
+        /// for lanes off its main range).
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        pub(in crate::fastpath) fn exp(self) -> Self {
+            crate::fastpath::port::exp_lanes(self)
         }
 
         /// The natural logarithm, bit for bit glibc's (see `fastpath/log.rs`).

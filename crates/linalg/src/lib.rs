@@ -18,7 +18,9 @@
 //! kernels of a GP likelihood evaluation — the kernel fill's `exp` pass, the
 //! Cholesky factorisation and the forward solve — also have AVX2
 //! compilations and a bit-exact inlined `exp`, chosen once per process in
-//! [`fastpath`]; their results are bit-identical to the baseline ones.
+//! [`fastpath`]; their results are bit-identical to the baseline ones. So do
+//! the passes that score a BO step's candidates: the posterior's `K*` fill
+//! and per-query solve, and Φ and φ over a batch ([`NormalBatch`]).
 //!
 //! # Quick example
 //!
@@ -46,7 +48,9 @@ pub use optimize::{
     nelder_mead, LaneGroup, LaneObjective, NelderMead, NelderMeadOptions, OptResult, LANES,
 };
 pub use sampling::{latin_hypercube, SampleRange};
-pub use stats::{bits_eq, is_exact_zero, norm_cdf, norm_pdf, norm_quantile, OnlineStats, Summary};
+pub use stats::{
+    bits_eq, is_exact_zero, norm_cdf, norm_pdf, norm_quantile, NormalBatch, OnlineStats, Summary,
+};
 
 /// Numerical tolerance used across the crate for "this should be zero"
 /// comparisons in tests and assertions.

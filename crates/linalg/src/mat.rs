@@ -241,15 +241,6 @@ impl Mat {
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// Become a copy of `src`, reusing the existing allocation whenever
-    /// `src`'s elements fit its capacity.
-    pub fn copy_from(&mut self, src: &Mat) {
-        self.rows = src.rows;
-        self.cols = src.cols;
-        self.data.clear();
-        self.data.extend_from_slice(&src.data);
-    }
-
     /// Mutably borrow the contiguous storage of columns `c..c + w`
     /// (column `c + k` occupies `k*rows..(k+1)*rows` of the returned
     /// slice). Blocked multi-RHS solves split this further to update
@@ -459,14 +450,6 @@ mod tests {
         assert!(m.as_slice().iter().all(|&v| v == 0.0));
         m.reshape_zeroed(2, 2);
         assert!(m.as_slice().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn copy_from_matches_clone() {
-        let src = Mat::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        let mut dst = Mat::zeros(5, 5);
-        dst.copy_from(&src);
-        assert_eq!(dst, src);
     }
 
     #[test]

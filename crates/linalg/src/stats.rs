@@ -32,10 +32,16 @@ pub fn bits_eq(a: f64, b: f64) -> bool {
     a.to_bits() == b.to_bits()
 }
 
+/// `1/√(2π)`, φ's normalising constant.
+pub(crate) const INV_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
+/// `1/√π`, the continued fraction's prefactor in [`erfc`].
+pub(crate) const INV_SQRT_PI: f64 = 0.564_189_583_547_756_3;
+/// The modified Lentz algorithm's stand-in for a zero denominator.
+pub(crate) const TINY: f64 = 1e-300;
+
 /// Standard normal probability density function φ(x).
 #[inline]
 pub fn norm_pdf(x: f64) -> f64 {
-    const INV_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
     INV_SQRT_2PI * (-0.5 * x * x).exp()
 }
 
@@ -69,7 +75,6 @@ pub fn erfc(x: f64) -> f64 {
     }
     // Modified Lentz evaluation of the continued fraction
     //   K = 1/(x+) (1/2)/(x+) (2/2)/(x+) (3/2)/(x+) …
-    const TINY: f64 = 1e-300;
     let mut f = TINY;
     let mut c = f;
     let mut d = 0.0;
@@ -94,7 +99,6 @@ pub fn erfc(x: f64) -> f64 {
         }
         k += 1;
     }
-    const INV_SQRT_PI: f64 = 0.564_189_583_547_756_3;
     (-x * x).exp() * INV_SQRT_PI * f
 }
 
@@ -124,6 +128,77 @@ pub fn erf(x: f64) -> f64 {
         }
     }
     std::f64::consts::FRAC_2_SQRT_PI * sum
+}
+
+/// Standard-normal arguments staged for one batched evaluation of Φ and
+/// φ, with the results.
+///
+/// A caller pushes the arguments it will need, calls
+/// [`eval`](Self::eval) once, and reads [`cdf`](Self::cdf) and
+/// [`pdf`](Self::pdf) by position. The batch goes through
+/// [`crate::fastpath::norm_cdf_into`] and
+/// [`crate::fastpath::norm_pdf_into`], so every value has the bits
+/// [`norm_cdf`] and [`norm_pdf`] give for the same argument. Buffers are
+/// kept across batches; after [`reserve`](Self::reserve) a batch within
+/// that size allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct NormalBatch {
+    x: Vec<f64>,
+    cdf: Vec<f64>,
+    pdf: Vec<f64>,
+}
+
+impl NormalBatch {
+    /// An empty batch; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Grow every buffer to hold `m` arguments.
+    pub fn reserve(&mut self, m: usize) {
+        for buf in [&mut self.x, &mut self.cdf, &mut self.pdf] {
+            buf.reserve(m.saturating_sub(buf.len()));
+        }
+    }
+
+    /// Start a new batch (buffers are retained).
+    pub fn clear(&mut self) {
+        self.x.clear();
+        self.cdf.clear();
+        self.pdf.clear();
+    }
+
+    /// Stage one argument.
+    pub fn push(&mut self, x: f64) {
+        self.x.push(x);
+    }
+
+    /// The staged arguments, in push order.
+    pub fn args(&self) -> &[f64] {
+        &self.x
+    }
+
+    /// Evaluate Φ at every staged argument, and φ too when `with_pdf`.
+    pub fn eval(&mut self, with_pdf: bool) {
+        self.cdf.resize(self.x.len(), 0.0);
+        crate::fastpath::norm_cdf_into(&self.x, &mut self.cdf);
+        self.pdf.clear();
+        if with_pdf {
+            self.pdf.resize(self.x.len(), 0.0);
+            crate::fastpath::norm_pdf_into(&self.x, &mut self.pdf);
+        }
+    }
+
+    /// Φ of each staged argument, after [`eval`](Self::eval).
+    pub fn cdf(&self) -> &[f64] {
+        &self.cdf
+    }
+
+    /// φ of each staged argument, after [`eval`](Self::eval) with
+    /// `with_pdf` (empty otherwise).
+    pub fn pdf(&self) -> &[f64] {
+        &self.pdf
+    }
 }
 
 /// Inverse of the standard normal cdf (the quantile / probit function).
@@ -319,6 +394,28 @@ pub fn quartiles(xs: &[f64]) -> Quartiles {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn normal_batch_equals_the_scalar_functions_and_reuses_its_buffers() {
+        let mut b = NormalBatch::new();
+        b.reserve(64);
+        for round in 0..3 {
+            b.clear();
+            let xs: Vec<f64> = (0..37).map(|i| (i as f64 - 18.0) * (0.7 + round as f64)).collect();
+            for &x in &xs {
+                b.push(x);
+            }
+            assert_eq!(b.args(), &xs[..]);
+            b.eval(round != 1);
+            for (i, &x) in xs.iter().enumerate() {
+                assert_eq!(b.cdf()[i].to_bits(), norm_cdf(x).to_bits(), "Φ({x})");
+                if round != 1 {
+                    assert_eq!(b.pdf()[i].to_bits(), norm_pdf(x).to_bits(), "φ({x})");
+                }
+            }
+            assert_eq!(b.pdf().is_empty(), round == 1);
+        }
+    }
 
     #[test]
     fn pdf_symmetry_and_peak() {

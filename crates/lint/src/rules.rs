@@ -260,6 +260,8 @@ const HOT_PATHS: &[&str] = &[
     "crates/linalg/src/fastpath.rs",
     "crates/linalg/src/fastpath/lanes.rs",
     "crates/linalg/src/fastpath/log.rs",
+    "crates/linalg/src/fastpath/normal.rs",
+    "crates/linalg/src/fastpath/posterior.rs",
     "crates/linalg/src/fastpath/vector.rs",
     "crates/linalg/src/mat.rs",
 ];

@@ -136,6 +136,8 @@ fn hot_index_fires_in_every_pinned_hot_path() {
         "crates/linalg/src/fastpath.rs",
         "crates/linalg/src/fastpath/lanes.rs",
         "crates/linalg/src/fastpath/log.rs",
+        "crates/linalg/src/fastpath/normal.rs",
+        "crates/linalg/src/fastpath/posterior.rs",
         "crates/linalg/src/fastpath/vector.rs",
         "crates/cloudsim/src/sim.rs",
     ] {
