@@ -335,8 +335,8 @@ impl LaneObjective for Likelihood<'_> {
 ///
 /// A warm-started BO refit loop fits once per step over an input set that
 /// grows by one row each time. Carrying the scratch across calls rebuilds
-/// the distance planes in place and reuses every lockstep group's
-/// Nelder–Mead steppers and lane buffers, so a refit stops allocating per
+/// the distance planes in place and reuses every lockstep group's result
+/// buffers and lane buffers, so a refit stops allocating per
 /// group and per round once the buffers reach the search's maximum
 /// footprint. Results are bit-identical to the scratch-free path.
 #[derive(Debug, Default)]
@@ -349,8 +349,8 @@ pub struct FitScratch {
     last_starts: usize,
 }
 
-/// A group's lock, recovered if a panic poisoned it: every fit restarts the
-/// group's steppers and resizes its lane buffers before use, so a panic
+/// A group's lock, recovered if a panic poisoned it: every fit starts the
+/// group's steppers afresh and resizes its lane buffers before use, so a panic
 /// mid-fit leaves nothing a later fit reads (only its counters are partial).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -374,10 +374,7 @@ impl FitScratch {
     /// Every start's result in the most recent fit, in start order.
     pub fn last_fit(&self) -> Vec<OptResult> {
         let used = self.last_starts.div_ceil(LANES);
-        self.groups[..used]
-            .iter()
-            .flat_map(|g| lock(g).runs().iter().map(|nm| nm.result()).collect::<Vec<_>>())
-            .collect()
+        self.groups[..used].iter().flat_map(|g| lock(g).results().to_vec()).collect()
     }
 }
 

@@ -4,9 +4,10 @@
 //! batch — inside the walls, outside them, or where the kernel matrix
 //! needs jitter or holds entries whose `exp` argument lies outside the
 //! inlined `exp`'s main range. The one-time fast-path choice (CPU
-//! detection plus self-check) allocates nothing either. A warm refit
-//! through a `FitScratch` allocates nothing per lockstep round: its count
-//! does not grow with the evaluation budget.
+//! detection plus self-check) allocates nothing either. A warm
+//! `LaneGroup::run` at a search's θ dimension allocates nothing. A warm
+//! refit through a `FitScratch` allocates nothing per lockstep round: its
+//! count does not grow with the evaluation budget.
 //!
 //! Lives alone in this integration-test binary because the counting
 //! `#[global_allocator]` is process-wide.
@@ -16,7 +17,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use mlcd_gp::fit::fit_hyperparams_with_scratch;
 use mlcd_gp::{DistanceWorkspace, FitOptions, FitScratch, KernelFamily, Likelihood, NlmlScratch};
-use mlcd_linalg::NelderMeadOptions;
+use mlcd_linalg::{multi_starts, LaneGroup, NelderMeadOptions, SampleRange, LANES};
 
 /// Forwards to the system allocator, counting (de)allocations only while
 /// armed so test-harness and setup allocations don't pollute the count.
@@ -70,6 +71,7 @@ fn count_allocs(f: impl FnOnce()) -> usize {
 #[test]
 fn warm_likelihood_evaluation_and_refit_allocate_nothing() {
     warm_lane_evaluation_allocates_nothing();
+    warm_lane_group_run_allocates_nothing();
     warm_refit_allocates_nothing_per_round();
 }
 
@@ -130,6 +132,34 @@ fn warm_lane_evaluation_allocates_nothing() {
     }
 }
 
+fn warm_lane_group_run_allocates_nothing() {
+    // A search's fit: d = 5 inputs, so θ has the 7 coordinates of every
+    // search, and four starts in one group.
+    let xs: Vec<Vec<f64>> = (0..9)
+        .map(|i| {
+            let t = i as f64 / 8.0;
+            vec![t, (t * 5.0).fract(), (t * 2.1).cos(), (t * 3.7).sin(), 1.0 - t * t]
+        })
+        .collect();
+    let z: Vec<f64> = xs.iter().map(|x| (x[0] * 4.0).sin() + x[2] - x[4]).collect();
+    let dist = DistanceWorkspace::new(&xs);
+    let opts = FitOptions::default();
+    let mut ranges = vec![SampleRange::new(opts.log_signal_var.0, opts.log_signal_var.1)];
+    ranges.extend([SampleRange::new(opts.log_lengthscale.0, opts.log_lengthscale.1); 5]);
+    ranges.push(SampleRange::new(opts.log_noise_var.0, opts.log_noise_var.1));
+    let starts = multi_starts(&ranges, LANES, &[], opts.seed);
+    let likelihood = Likelihood::new(&dist, &z, KernelFamily::Matern52, &opts);
+    let mut group = LaneGroup::new(NlmlScratch::new());
+    // Warm-up: the lane buffers and the group's result buffers grow.
+    group.run(&likelihood, &starts, &opts.nm);
+    let before = group.scratch.counters();
+    let allocs = count_allocs(|| group.run(&likelihood, &starts, &opts.nm));
+    let batches = group.scratch.counters().batches - before.batches;
+    assert_eq!(allocs, 0, "a warm LaneGroup::run allocated");
+    assert!(batches > 100, "{batches} lane batches");
+    assert!(group.results().iter().all(|r| r.x.len() == 7 && r.fx.is_finite()));
+}
+
 fn warm_refit_allocates_nothing_per_round() {
     let xs: Vec<Vec<f64>> = (0..10)
         .map(|i| {
@@ -147,7 +177,7 @@ fn warm_refit_allocates_nothing_per_round() {
         assert!(fit.expect("fit").nlml.is_finite());
     };
     let mut scratch = FitScratch::new();
-    // Warm-up: the planes, every group's steppers and lane buffers, and
+    // Warm-up: the planes, every group's result and lane buffers, and
     // the fan-out pool reach their final size.
     refit(250, &mut scratch);
     refit(250, &mut scratch);
@@ -156,7 +186,12 @@ fn warm_refit_allocates_nothing_per_round() {
     let long = count_allocs(|| refit(250, &mut scratch));
     let rounds = scratch.counters().batches - before.batches;
     assert!(rounds > 400, "{rounds} lane batches");
-    // Per fit there remain the start list, the per-call fan-out slots and
-    // the result; none of them depends on how many rounds ran.
+    // Per fit there remain the targets, the start list, the per-call
+    // fan-out slots and the result; none of them depends on how many
+    // rounds ran.
     assert_eq!(short, long, "a warm refit's allocations grew with its rounds");
+    // With the steppers on the stack, the groups' result buffers must not
+    // add to that: 22 is what a warm refit made with heap-backed steppers
+    // kept in the groups (21 when the fan-out runs inline).
+    assert!(long <= 22, "a warm refit made {long} allocations, more than 22");
 }

@@ -8,11 +8,16 @@
 //!
 //! # One Nelder–Mead
 //!
-//! [`NelderMead`] is the method as an ask/tell stepper: it holds one run's
-//! simplex, [`ask`](NelderMead::ask)s for the next point it needs and takes
-//! the objective's value there through [`tell`](NelderMead::tell).
-//! [`nelder_mead`] is the loop that answers every ask with a scalar
-//! objective; every other driver steps the same type.
+//! [`NelderMead`] is the method as an ask/tell stepper over a fixed-size
+//! simplex: it holds one run's vertices on the stack,
+//! [`ask`](NelderMead::ask)s for the next point it needs and takes the
+//! objective's value there through [`tell`](NelderMead::tell). Its
+//! dimension `N` is a compile-time constant, so the simplex, its values and
+//! the work vectors are arrays and every loop over them has a known trip
+//! count. The runtime-dimension entry points ([`nelder_mead`],
+//! [`LaneGroup::run`] and the multi-starts through it) dispatch once per
+//! run on the start's length, to a stepper for each `N` from 1 to
+//! [`MAX_DIM`].
 //!
 //! # Starts in lockstep
 //!
@@ -29,6 +34,10 @@
 //! count and under concurrent callers. Scalar objectives take the same path
 //! through [`multi_start_nelder_mead_with`], one point at a time.
 
+// lint: allow(hot-index, file) — vertex indices are below the const vertex count V = N + 1,
+// coordinate indices below the const dimension N, and lane indices below LANES (`m ≤ LANES`
+// lanes are filled per round); no index depends on a runtime length.
+
 use crate::sampling::{latin_hypercube, SampleRange};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -38,6 +47,32 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// How many starts run in lockstep: one per `f64` lane of an AVX2 register.
 pub const LANES: usize = 4;
+
+/// The longest start point the Nelder–Mead drivers accept. Calibration
+/// fits 2 coordinates and a GP fit `d + 2` (7 in every search).
+pub const MAX_DIM: usize = 16;
+
+/// Evaluates `$body` with `$N` bound to the runtime dimension `$n` as a
+/// constant and `$V` to `$N + 1`, for every `$N` from 1 to [`MAX_DIM`].
+///
+/// # Panics
+/// Panics on a dimension of 0 or above [`MAX_DIM`].
+macro_rules! with_dim {
+    ($n:expr, |$N:ident, $V:ident| $body:expr) => {
+        with_dim!(@arms $n, $N, $V, $body; 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
+    };
+    (@arms $n:expr, $N:ident, $V:ident, $body:expr; $($k:literal)*) => {
+        match $n {
+            0 => panic!("nelder_mead: empty start point"),
+            $($k => {
+                const $N: usize = $k;
+                const $V: usize = $N + 1;
+                $body
+            })*
+            n => panic!("nelder_mead: {n} coordinates; at most MAX_DIM = {MAX_DIM} are supported"),
+        }
+    };
+}
 
 /// Tunables for one Nelder–Mead run. The defaults follow the classic
 /// (1, 2, 0.5, 0.5) reflection/expansion/contraction/shrink coefficients.
@@ -62,7 +97,7 @@ impl Default for NelderMeadOptions {
 }
 
 /// Result of an optimisation run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OptResult {
     /// Best point found.
     pub x: Vec<f64>,
@@ -76,7 +111,7 @@ pub struct OptResult {
 }
 
 /// Which point a [`NelderMead`] run is waiting on.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Step {
     /// Vertex `i` of the initial simplex.
     Init(usize),
@@ -89,28 +124,35 @@ enum Step {
     /// Vertex `i` of a simplex shrunk toward the best vertex.
     Shrink(usize),
     /// The run has finished.
-    #[default]
     Done,
 }
 
-/// One Nelder–Mead run as an ask/tell stepper.
+/// One Nelder–Mead run in `N` coordinates as an ask/tell stepper; `V` is
+/// the vertex count, `N + 1` (stable Rust cannot write `N + 1` in a type).
 ///
 /// Objective values that are NaN are treated as `+inf`, so the simplex
 /// retreats from invalid regions (e.g. hyperparameters that make a kernel
 /// matrix unfactorable) instead of corrupting the ordering.
 ///
-/// Every trial point is built into one of the stepper's reusable buffers,
-/// so a run allocates nothing once [`restart`](Self::restart)ed at the
-/// same dimension. The per-element arithmetic is `c[i] + s·(a[i] − b[i])`
-/// in ascending `i`, the order trajectories have always been computed in.
-#[derive(Debug, Clone, Default)]
-pub struct NelderMead {
+/// Whenever an iteration starts, the vertices are ordered by value under
+/// `total_cmp`, the older vertex first among equal values: the order a
+/// stable sort of the whole simplex gives. The initial and the shrunk
+/// simplex get a full stable insertion sort; a new vertex in place of the
+/// worst is moved left past every vertex of strictly greater value, which
+/// is where a stable sort of the otherwise sorted simplex puts it. The
+/// per-element arithmetic is `c[i] + s·(a[i] − b[i])` in ascending `i`, the
+/// order trajectories have always been computed in.
+#[derive(Debug, Clone)]
+pub struct NelderMead<const N: usize, const V: usize> {
     opts: NelderMeadOptions,
-    simplex: Vec<(Vec<f64>, f64)>,
-    centroid: Vec<f64>,
-    reflect: Vec<f64>,
-    trial: Vec<f64>,
-    pivot: Vec<f64>,
+    /// The vertices.
+    x: [[f64; N]; V],
+    /// The objective at each vertex.
+    f: [f64; V],
+    centroid: [f64; N],
+    reflect: [f64; N],
+    trial: [f64; N],
+    pivot: [f64; N],
     /// The reflection's value, while an expansion or contraction is pending.
     f_r: f64,
     evals: usize,
@@ -118,42 +160,45 @@ pub struct NelderMead {
     step: Step,
 }
 
-impl NelderMead {
+impl<const N: usize, const V: usize> NelderMead<N, V> {
+    /// A finished run with an empty simplex, to be
+    /// [`restart`](Self::restart)ed.
+    const IDLE: Self = {
+        assert!(N > 0 && V == N + 1, "NelderMead<N, V> needs N ≥ 1 and V = N + 1");
+        NelderMead {
+            opts: NelderMeadOptions { max_evals: 0, f_tol: 0.0, x_tol: 0.0, initial_step: 0.0 },
+            x: [[0.0; N]; V],
+            f: [0.0; V],
+            centroid: [0.0; N],
+            reflect: [0.0; N],
+            trial: [0.0; N],
+            pivot: [0.0; N],
+            f_r: 0.0,
+            evals: 0,
+            converged: false,
+            step: Step::Done,
+        }
+    };
+
     /// A run from `x0`.
-    ///
-    /// # Panics
-    /// Panics if `x0` is empty.
-    pub fn new(x0: &[f64], opts: &NelderMeadOptions) -> Self {
-        let mut nm = NelderMead::default();
+    pub fn new(x0: &[f64; N], opts: &NelderMeadOptions) -> Self {
+        let mut nm = Self::IDLE;
         nm.restart(x0, opts);
         nm
     }
 
-    /// Start a new run from `x0`, reusing this stepper's buffers.
-    ///
-    /// # Panics
-    /// Panics if `x0` is empty.
-    pub fn restart(&mut self, x0: &[f64], opts: &NelderMeadOptions) {
-        let n = x0.len();
-        assert!(n > 0, "nelder_mead: empty start point");
+    /// Start a new run from `x0`.
+    pub fn restart(&mut self, x0: &[f64; N], opts: &NelderMeadOptions) {
         self.opts = *opts;
         // Initial simplex: x0 plus a bump along each axis.
-        self.simplex.resize_with(n + 1, || (Vec::new(), 0.0));
-        for (i, (x, _)) in self.simplex.iter_mut().enumerate() {
-            x.clear();
-            x.extend_from_slice(x0);
-            if let Some(axis) = i.checked_sub(1) {
-                let step = if crate::is_exact_zero(x[axis]) {
-                    opts.initial_step
-                } else {
-                    opts.initial_step * x[axis].abs()
-                };
-                x[axis] += step;
-            }
-        }
-        for buf in [&mut self.centroid, &mut self.reflect, &mut self.trial, &mut self.pivot] {
-            buf.clear();
-            buf.resize(n, 0.0);
+        self.x = [*x0; V];
+        for (axis, x) in self.x[1..].iter_mut().enumerate() {
+            let step = if crate::is_exact_zero(x[axis]) {
+                opts.initial_step
+            } else {
+                opts.initial_step * x[axis].abs()
+            };
+            x[axis] += step;
         }
         self.evals = 0;
         self.converged = false;
@@ -162,9 +207,9 @@ impl NelderMead {
 
     /// The point whose objective value the run needs next, or `None` once
     /// it has finished.
-    pub fn ask(&self) -> Option<&[f64]> {
+    pub fn ask(&self) -> Option<&[f64; N]> {
         match self.step {
-            Step::Init(i) | Step::Shrink(i) => Some(&self.simplex[i].0),
+            Step::Init(i) | Step::Shrink(i) => Some(&self.x[i]),
             Step::Reflect => Some(&self.reflect),
             Step::Expand | Step::Contract => Some(&self.trial),
             Step::Done => None,
@@ -178,33 +223,36 @@ impl NelderMead {
     pub fn tell(&mut self, value: f64) {
         let v = if value.is_nan() { f64::INFINITY } else { value };
         self.evals += 1;
-        let n = self.simplex.len() - 1;
         match self.step {
             Step::Init(i) | Step::Shrink(i) => {
-                self.simplex[i].1 = v;
-                if i < n {
+                self.f[i] = v;
+                if i < N {
                     self.step = if matches!(self.step, Step::Init(_)) {
                         Step::Init(i + 1)
                     } else {
                         Step::Shrink(i + 1)
                     };
                 } else {
+                    // A new or shrunk simplex: a whole stable insertion sort.
+                    for k in 1..V {
+                        self.insert(k);
+                    }
                     self.iterate();
                 }
             }
             Step::Reflect => {
                 self.f_r = v;
-                if v < self.simplex[0].1 {
+                if v < self.f[0] {
                     // Try expanding further along the reflection direction.
-                    for i in 0..n {
+                    for i in 0..N {
                         self.trial[i] = self.centroid[i] + 2.0 * (self.centroid[i] - self.pivot[i]);
                     }
                     self.step = Step::Expand;
-                } else if v < self.simplex[n - 1].1 {
+                } else if v < self.f[N - 1] {
                     self.replace_worst(false, v);
                 } else {
                     // Contract toward the centroid, outside or inside.
-                    let toward = if v < self.simplex[n].1 { &self.reflect } else { &self.pivot };
+                    let toward = if v < self.f[N] { &self.reflect } else { &self.pivot };
                     let points = self.trial.iter_mut().zip(&self.centroid).zip(toward);
                     for ((trial, &c), &w) in points {
                         *trial = c + 0.5 * (w - c);
@@ -220,13 +268,13 @@ impl NelderMead {
                 }
             }
             Step::Contract => {
-                if v < self.simplex[n].1.min(self.f_r) {
+                if v < self.f[N].min(self.f_r) {
                     self.replace_worst(true, v);
                 } else {
                     // Shrink everything toward the best vertex.
-                    self.pivot.copy_from_slice(&self.simplex[0].0);
-                    for vertex in self.simplex.iter_mut().skip(1) {
-                        for (s, &b) in vertex.0.iter_mut().zip(&self.pivot) {
+                    self.pivot = self.x[0];
+                    for vertex in &mut self.x[1..] {
+                        for (s, &b) in vertex.iter_mut().zip(&self.pivot) {
                             *s = b + 0.5 * (*s - b);
                         }
                     }
@@ -240,44 +288,56 @@ impl NelderMead {
     /// Put the trial point (`true`) or the reflection (`false`) in place of
     /// the worst vertex, with value `f`, and start the next iteration.
     fn replace_worst(&mut self, trial: bool, f: f64) {
-        let worst = self.simplex.last_mut().expect("a simplex has n + 1 ≥ 2 vertices");
-        worst.0.copy_from_slice(if trial { &self.trial } else { &self.reflect });
-        worst.1 = f;
+        self.x[N] = if trial { self.trial } else { self.reflect };
+        self.f[N] = f;
+        self.insert(N);
         self.iterate();
     }
 
-    /// The top of an iteration: stop on the budget or on convergence, else
-    /// ask for the reflection of the worst vertex.
+    /// Move vertex `k` left past every vertex before it whose value is
+    /// strictly greater under `total_cmp`; with vertices `..k` sorted, this
+    /// leaves `..=k` as a stable sort would.
+    fn insert(&mut self, k: usize) {
+        let (x, f) = (self.x[k], self.f[k]);
+        let mut j = k;
+        while j > 0 && self.f[j - 1].total_cmp(&f).is_gt() {
+            self.x[j] = self.x[j - 1];
+            self.f[j] = self.f[j - 1];
+            j -= 1;
+        }
+        self.x[j] = x;
+        self.f[j] = f;
+    }
+
+    /// The top of an iteration, over a sorted simplex: stop on the budget
+    /// or on convergence, else ask for the reflection of the worst vertex.
     fn iterate(&mut self) {
         if self.evals >= self.opts.max_evals {
-            self.finish();
+            self.step = Step::Done;
             return;
         }
-        let n = self.simplex.len() - 1;
-        self.simplex.sort_by(|a, b| a.1.total_cmp(&b.1));
-        let (best_f, worst_f) = (self.simplex[0].1, self.simplex[n].1);
-        let spread = (worst_f - best_f).abs();
+        let spread = (self.f[N] - self.f[0]).abs();
         // Both criteria must hold: a symmetric simplex (two vertices
         // straddling the optimum with equal values) has zero f-spread but
         // has not collapsed yet. The distance (a square root per vertex)
         // is computed only once the cheap tests already pass.
-        if best_f.is_finite() && spread < self.opts.f_tol && self.max_dist() < self.opts.x_tol {
+        if self.f[0].is_finite() && spread < self.opts.f_tol && self.max_dist() < self.opts.x_tol {
             self.converged = true;
-            self.finish();
+            self.step = Step::Done;
             return;
         }
         // Centroid of all but the worst vertex.
-        self.centroid.fill(0.0);
-        for (x, _) in &self.simplex[..n] {
+        self.centroid = [0.0; N];
+        for x in &self.x[..N] {
             for (c, &v) in self.centroid.iter_mut().zip(x) {
                 *c += v;
             }
         }
         for c in &mut self.centroid {
-            *c /= n as f64;
+            *c /= N as f64;
         }
-        self.pivot.copy_from_slice(&self.simplex[n].0);
-        for i in 0..n {
+        self.pivot = self.x[N];
+        for i in 0..N {
             self.reflect[i] = self.centroid[i] + 1.0 * (self.centroid[i] - self.pivot[i]);
         }
         self.step = Step::Reflect;
@@ -285,16 +345,11 @@ impl NelderMead {
 
     /// The largest distance from the best vertex to any other.
     fn max_dist(&self) -> f64 {
-        let best = &self.simplex[0].0;
-        self.simplex[1..]
+        let best = &self.x[0];
+        self.x[1..]
             .iter()
-            .map(|(x, _)| x.iter().zip(best).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt())
+            .map(|x| x.iter().zip(best).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt())
             .fold(0.0_f64, f64::max)
-    }
-
-    fn finish(&mut self) {
-        self.simplex.sort_by(|a, b| a.1.total_cmp(&b.1));
-        self.step = Step::Done;
     }
 
     /// Whether the run has finished.
@@ -302,9 +357,17 @@ impl NelderMead {
         self.step == Step::Done
     }
 
-    /// The best vertex's value (meaningful once the run has finished).
-    pub fn best_f(&self) -> f64 {
-        self.simplex[0].1
+    /// Write the finished run's result into `out`, reusing `out.x`.
+    ///
+    /// # Panics
+    /// Panics if the run has not finished.
+    fn write_result(&self, out: &mut OptResult) {
+        assert!(self.is_done(), "NelderMead::result: the run has not finished");
+        out.x.clear();
+        out.x.extend_from_slice(&self.x[0]);
+        out.fx = self.f[0];
+        out.evals = self.evals;
+        out.converged = self.converged;
     }
 
     /// The finished run's result.
@@ -312,21 +375,44 @@ impl NelderMead {
     /// # Panics
     /// Panics if the run has not finished.
     pub fn result(&self) -> OptResult {
-        assert!(self.is_done(), "NelderMead::result: the run has not finished");
-        let (x, fx) = &self.simplex[0];
-        OptResult { x: x.clone(), fx: *fx, evals: self.evals, converged: self.converged }
+        let mut out = OptResult::default();
+        self.write_result(&mut out);
+        out
+    }
+}
+
+/// `x` as a point of `N` coordinates.
+///
+/// # Panics
+/// Panics if `x` has another length.
+fn point<const N: usize>(x: &[f64]) -> &[f64; N] {
+    match x.try_into() {
+        Ok(p) => p,
+        Err(_) => panic!("nelder_mead: a start of {} coordinates among starts of {N}", x.len()),
     }
 }
 
 /// Minimise `f` starting from `x0` with the Nelder–Mead simplex method.
 ///
 /// Objective values that are NaN are treated as `+inf` (see [`NelderMead`]).
+///
+/// # Panics
+/// Panics if `x0` is empty or longer than [`MAX_DIM`].
 pub fn nelder_mead(
-    mut f: impl FnMut(&[f64]) -> f64,
+    f: impl FnMut(&[f64]) -> f64,
     x0: &[f64],
     opts: &NelderMeadOptions,
 ) -> OptResult {
-    let mut nm = NelderMead::new(x0, opts);
+    with_dim!(x0.len(), |N, V| nelder_mead_in::<N, V>(f, point(x0), opts))
+}
+
+/// [`nelder_mead`] at a compile-time dimension.
+fn nelder_mead_in<const N: usize, const V: usize>(
+    mut f: impl FnMut(&[f64]) -> f64,
+    x0: &[f64; N],
+    opts: &NelderMeadOptions,
+) -> OptResult {
+    let mut nm = NelderMead::<N, V>::new(x0, opts);
     while let Some(x) = nm.ask() {
         let v = f(x);
         nm.tell(v);
@@ -374,46 +460,63 @@ impl<F: FnMut(&[f64]) -> f64> LaneObjective for PointWise<F> {
 
 /// One group of up to [`LANES`] starts run in lockstep, with its scratch.
 ///
-/// The steppers are kept between runs, so a warm group allocates nothing.
+/// A run's steppers live on the stack; the group keeps each start's
+/// result in buffers of its own, so a warm group allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct LaneGroup<S> {
     /// The group's objective scratch.
     pub scratch: S,
-    steppers: [NelderMead; LANES],
+    results: [OptResult; LANES],
     used: usize,
 }
 
 impl<S> LaneGroup<S> {
     /// An idle group around `scratch`.
     pub fn new(scratch: S) -> Self {
-        LaneGroup { scratch, steppers: Default::default(), used: 0 }
+        LaneGroup { scratch, results: Default::default(), used: 0 }
     }
 
-    /// Minimise `objective` from each of `starts` (at most [`LANES`]) in
-    /// lockstep. Each start's trajectory is the one [`nelder_mead`] would
-    /// take from it alone.
+    /// Minimise `objective` from each of `starts` (at most [`LANES`], all
+    /// of one length) in lockstep. Each start's trajectory is the one
+    /// [`nelder_mead`] would take from it alone.
     ///
     /// # Panics
-    /// Panics on more than [`LANES`] starts or an empty start point.
+    /// Panics on more than [`LANES`] starts, on starts of unequal length,
+    /// or on an empty start point or one longer than [`MAX_DIM`].
     pub fn run<O>(&mut self, objective: &O, starts: &[Vec<f64>], opts: &NelderMeadOptions)
     where
         O: LaneObjective<Scratch = S> + ?Sized,
     {
         assert!(starts.len() <= LANES, "LaneGroup::run: {} starts", starts.len());
+        self.used = 0;
+        let Some(first) = starts.first() else { return };
+        with_dim!(first.len(), |N, V| self.run_in::<N, V, O>(objective, starts, opts));
         self.used = starts.len();
-        let steppers = &mut self.steppers[..starts.len()];
+    }
+
+    /// [`run`](Self::run) at a compile-time dimension.
+    fn run_in<const N: usize, const V: usize, O>(
+        &mut self,
+        objective: &O,
+        starts: &[Vec<f64>],
+        opts: &NelderMeadOptions,
+    ) where
+        O: LaneObjective<Scratch = S> + ?Sized,
+    {
+        let mut steppers = [NelderMead::<N, V>::IDLE; LANES];
+        let steppers = &mut steppers[..starts.len()];
         for (nm, x0) in steppers.iter_mut().zip(starts) {
-            nm.restart(x0, opts);
+            nm.restart(point(x0), opts);
         }
-        let mut out = [0.0; LANES];
+        let (mut points, mut lane_of, mut out) = ([[0.0; N]; LANES], [0usize; LANES], [0.0; LANES]);
         loop {
-            let mut lane_of = [0usize; LANES];
             let mut m = 0;
             for (i, nm) in steppers.iter_mut().enumerate() {
                 while let Some(x) = nm.ask() {
                     match objective.answer_eagerly(&mut self.scratch, x) {
                         Some(v) => nm.tell(v),
                         None => {
+                            points[m] = *x;
                             lane_of[m] = i;
                             m += 1;
                             break;
@@ -422,29 +525,35 @@ impl<S> LaneGroup<S> {
                 }
             }
             if m == 0 {
-                return;
+                break;
             }
-            let mut xs: [&[f64]; LANES] = [&[]; LANES];
-            for (x, &i) in xs.iter_mut().zip(&lane_of[..m]) {
-                *x = steppers[i].ask().expect("a start in a lane is live");
-            }
+            let xs: [&[f64]; LANES] = std::array::from_fn(|k| &points[k][..]);
             objective.eval_lanes(&mut self.scratch, &xs[..m], &mut out[..m]);
             for (&i, &v) in lane_of[..m].iter().zip(&out) {
                 steppers[i].tell(v);
             }
         }
+        for (nm, r) in steppers.iter().zip(&mut self.results) {
+            nm.write_result(r);
+        }
     }
 
-    /// The steppers of the last [`run`](Self::run), in start order.
-    pub fn runs(&self) -> &[NelderMead] {
-        &self.steppers[..self.used]
+    /// The results of the last [`run`](Self::run), in start order.
+    pub fn results(&self) -> &[OptResult] {
+        &self.results[..self.used]
     }
 }
 
-/// A group's lock, recovered if a panic poisoned it: a panic mid-run leaves
-/// steppers part-way, and every [`LaneGroup::run`] restarts all of them.
+/// A group's lock, recovered if a panic poisoned it: every
+/// [`LaneGroup::run`] starts its steppers afresh and rewrites its results.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The first `(item, value)` pair of least value under `total_cmp`, from
+/// `first` and then `rest`.
+fn first_least<T>(first: (T, f64), rest: impl Iterator<Item = (T, f64)>) -> (T, f64) {
+    rest.fold(first, |best, next| if next.1.total_cmp(&best.1).is_lt() { next } else { best })
 }
 
 /// Minimise `objective` from every start, [`LANES`] consecutive starts per
@@ -472,22 +581,19 @@ where
     let n_groups = starts.len().div_ceil(LANES);
     assert!(groups.len() >= n_groups, "lockstep_nelder_mead: {} groups", groups.len());
     let work: Vec<_> = groups.iter().zip(starts.chunks(LANES)).collect();
+    // Every group runs a non-empty chunk of starts, so `[0]` exists below.
     let bests: Vec<(usize, f64)> = work
         .par_iter()
         .map(|&(group, chunk)| {
             let mut group = lock(group);
             group.run(objective, chunk, opts);
-            let runs = group.runs().iter().enumerate();
-            let best = runs.min_by(|a, b| a.1.best_f().total_cmp(&b.1.best_f()));
-            best.map(|(i, nm)| (i, nm.best_f())).expect("a group has at least one start")
+            let fx = group.results().iter().map(|r| r.fx);
+            first_least((0, group.results()[0].fx), fx.enumerate().skip(1))
         })
         .collect();
-    let (g, &(i, _)) = bests
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1 .1.total_cmp(&b.1 .1))
-        .expect("at least one group");
-    lock(&groups[g]).runs()[i].result()
+    let rest = bests.iter().enumerate().skip(1).map(|(g, &(i, fx))| ((g, i), fx));
+    let ((g, i), _) = first_least(((0, bests[0].0), bests[0].1), rest);
+    lock(&groups[g]).results()[i].clone()
 }
 
 /// Minimise `f` from `n_starts` Latin-hypercube starting points within
@@ -552,338 +658,6 @@ pub fn multi_starts(
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quadratic_bowl() {
-        let f = |x: &[f64]| (x[0] - 3.0).powi(2) + (x[1] + 1.0).powi(2);
-        let r = nelder_mead(f, &[0.0, 0.0], &NelderMeadOptions::default());
-        assert!(r.converged, "should converge: {r:?}");
-        assert!((r.x[0] - 3.0).abs() < 1e-4, "x0 = {}", r.x[0]);
-        assert!((r.x[1] + 1.0).abs() < 1e-4, "x1 = {}", r.x[1]);
-        assert!(r.fx < 1e-7);
-    }
-
-    #[test]
-    fn rosenbrock_2d() {
-        let f = |x: &[f64]| (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2);
-        let opts = NelderMeadOptions { max_evals: 4000, ..Default::default() };
-        let r = nelder_mead(f, &[-1.2, 1.0], &opts);
-        assert!((r.x[0] - 1.0).abs() < 1e-3, "{r:?}");
-        assert!((r.x[1] - 1.0).abs() < 1e-3, "{r:?}");
-    }
-
-    #[test]
-    fn one_dimensional() {
-        let f = |x: &[f64]| (x[0] - 0.5).powi(2) + 7.0;
-        let r = nelder_mead(f, &[10.0], &NelderMeadOptions::default());
-        assert!((r.x[0] - 0.5).abs() < 1e-4);
-        assert!((r.fx - 7.0).abs() < 1e-8);
-    }
-
-    #[test]
-    fn respects_eval_budget() {
-        let f = |x: &[f64]| x.iter().map(|v| v * v).sum::<f64>();
-        let opts =
-            NelderMeadOptions { max_evals: 30, f_tol: 0.0, x_tol: 0.0, ..Default::default() };
-        let r = nelder_mead(f, &[5.0, 5.0, 5.0, 5.0], &opts);
-        // A full iteration can add a handful of evals past the check.
-        assert!(r.evals <= 40, "evals = {}", r.evals);
-        assert!(!r.converged);
-    }
-
-    #[test]
-    fn nan_objective_is_retreated_from() {
-        // NaN in the half-plane x > 1: optimum at x = 1 boundary region.
-        let f = |x: &[f64]| {
-            if x[0] > 1.0 {
-                f64::NAN
-            } else {
-                (x[0] - 0.9).powi(2)
-            }
-        };
-        let r = nelder_mead(f, &[0.0], &NelderMeadOptions::default());
-        assert!(r.fx.is_finite());
-        assert!((r.x[0] - 0.9).abs() < 1e-3, "{r:?}");
-    }
-
-    #[test]
-    fn multi_start_escapes_local_minimum() {
-        // Double well: local min near x=2 (f=0.5), global near x=-2 (f=0).
-        let f = |x: &[f64]| {
-            let a = (x[0] - 2.0).powi(2) + 0.5;
-            let b = (x[0] + 2.0).powi(2);
-            a.min(b)
-        };
-        let ranges = [SampleRange { lo: -5.0, hi: 5.0 }];
-        let r = multi_start_nelder_mead(f, &ranges, 8, 42, &NelderMeadOptions::default());
-        assert!((r.x[0] + 2.0).abs() < 1e-3, "{r:?}");
-        assert!(r.fx < 1e-6);
-    }
-
-    #[test]
-    fn multi_start_deterministic_for_seed() {
-        let f = |x: &[f64]| (x[0] - 1.0).powi(2) + (x[1] - 2.0).powi(2);
-        let ranges = [SampleRange { lo: -3.0, hi: 3.0 }, SampleRange { lo: -3.0, hi: 3.0 }];
-        let a = multi_start_nelder_mead(f, &ranges, 4, 7, &NelderMeadOptions::default());
-        let b = multi_start_nelder_mead(f, &ranges, 4, 7, &NelderMeadOptions::default());
-        assert_eq!(a.x, b.x);
-        assert_eq!(a.fx, b.fx);
-    }
-
-    #[test]
-    fn stateful_objective_is_accepted() {
-        // FnMut objectives (e.g. workspace-backed evaluators) must work;
-        // the eval count seen by the closure matches the reported one.
-        let mut calls = 0usize;
-        let r = nelder_mead(
-            |x: &[f64]| {
-                calls += 1;
-                (x[0] - 2.0).powi(2)
-            },
-            &[0.0],
-            &NelderMeadOptions::default(),
-        );
-        assert_eq!(calls, r.evals);
-        assert!((r.x[0] - 2.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn factory_multi_start_matches_plain() {
-        // The generalised entry point with no extra starts is the same
-        // search as the original API — identical LHC draw, identical result.
-        let f = |x: &[f64]| (x[0] - 1.0).powi(2) + (x[1] - 2.0).powi(2);
-        let ranges = [SampleRange { lo: -3.0, hi: 3.0 }, SampleRange { lo: -3.0, hi: 3.0 }];
-        let opts = NelderMeadOptions::default();
-        let a = multi_start_nelder_mead(f, &ranges, 4, 7, &opts);
-        let b = multi_start_nelder_mead_with(|| f, &ranges, 4, &[], 7, &opts);
-        assert_eq!(a.x, b.x);
-        assert_eq!(a.fx, b.fx);
-    }
-
-    #[test]
-    fn extra_start_can_win() {
-        // Narrow global well at x=-4 that LHC starts from [0, 5] cannot
-        // reach; a warm start placed inside it must be kept.
-        let f = |x: &[f64]| {
-            let wide = (x[0] - 3.0).powi(2) + 1.0;
-            let well = 50.0 * (x[0] + 4.0).powi(2);
-            wide.min(well)
-        };
-        let ranges = [SampleRange { lo: 0.0, hi: 5.0 }];
-        let opts = NelderMeadOptions::default();
-        let cold = multi_start_nelder_mead_with(|| f, &ranges, 4, &[], 11, &opts);
-        assert!((cold.x[0] - 3.0).abs() < 1e-3, "{cold:?}");
-        let warm = multi_start_nelder_mead_with(|| f, &ranges, 4, &[vec![-4.0]], 11, &opts);
-        assert!((warm.x[0] + 4.0).abs() < 1e-3, "{warm:?}");
-        assert!(warm.fx < 1e-6);
-    }
-
-    #[test]
-    fn extra_starts_alone_suffice() {
-        // n_starts = 0 with a seeded start point is a valid configuration.
-        let f = |x: &[f64]| (x[0] - 0.25).powi(2);
-        let r = multi_start_nelder_mead_with(
-            || f,
-            &[SampleRange { lo: 0.0, hi: 1.0 }],
-            0,
-            &[vec![0.9]],
-            3,
-            &NelderMeadOptions::default(),
-        );
-        assert!((r.x[0] - 0.25).abs() < 1e-4);
-    }
-
-    #[test]
-    fn concurrent_multi_starts_match_sequential_bit_for_bit() {
-        // Four callers share the fan-out pool at once; each must get the
-        // result of running its starts one after another on one thread.
-        let f = |x: &[f64]| {
-            (x[0] - 0.3).powi(2) + (x[1] + 0.7).powi(2) + 0.1 * (5.0 * x[0] * x[1]).sin()
-        };
-        let ranges = [SampleRange { lo: -2.0, hi: 2.0 }, SampleRange { lo: -2.0, hi: 2.0 }];
-        let extra = [vec![1.5, -1.5]];
-        let opts = NelderMeadOptions::default();
-        let sequential = |seed: u64| {
-            let mut starts = latin_hypercube(&ranges, 8, &mut SmallRng::seed_from_u64(seed));
-            starts.extend(extra.iter().cloned());
-            starts
-                .iter()
-                .map(|x0| nelder_mead(f, x0, &opts))
-                .min_by(|a, b| a.fx.total_cmp(&b.fx))
-                .expect("starts")
-        };
-        let pooled =
-            |seed: u64| multi_start_nelder_mead_with(|| f, &ranges, 8, &extra, seed, &opts);
-        let bits =
-            |r: &OptResult| (r.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), r.fx.to_bits());
-        let start = std::sync::Barrier::new(4);
-        std::thread::scope(|s| {
-            let callers: Vec<_> = (0..4u64)
-                .map(|k| {
-                    let (start, pooled) = (&start, &pooled);
-                    s.spawn(move || {
-                        start.wait();
-                        (k * 100..k * 100 + 20).map(|seed| (seed, pooled(seed))).collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for caller in callers {
-                for (seed, r) in caller.join().expect("caller thread") {
-                    assert_eq!(bits(&r), bits(&sequential(seed)), "seed {seed}");
-                }
-            }
-        });
-    }
-
-    /// A seeded bumpy bowl with a NaN half-space, a `+∞` band and a
-    /// soft wall: every kind of value the simplex must retreat from.
-    #[derive(Clone, Copy)]
-    struct Rugged {
-        centre: [f64; 3],
-        wall: f64,
-    }
-
-    impl Rugged {
-        fn value(&self, x: &[f64]) -> f64 {
-            if x[0] > 2.5 {
-                return f64::NAN;
-            }
-            if (x[1] - 1.9).abs() < 0.05 {
-                return f64::INFINITY;
-            }
-            x.iter()
-                .zip(&self.centre)
-                .map(|(v, c)| (v - c) * (v - c) + 0.05 * (7.0 * v).sin())
-                .sum()
-        }
-
-        fn walled(&self, x: &[f64]) -> bool {
-            x[2] < self.wall
-        }
-    }
-
-    /// `Rugged` as a lane objective: the wall is answered eagerly, the rest
-    /// point by point; the scratch counts `(lane calls, points, walls)`.
-    impl LaneObjective for Rugged {
-        type Scratch = (usize, usize, usize);
-
-        fn answer_eagerly(&self, s: &mut Self::Scratch, x: &[f64]) -> Option<f64> {
-            self.walled(x).then(|| {
-                s.2 += 1;
-                f64::INFINITY
-            })
-        }
-
-        fn eval_lanes(&self, s: &mut Self::Scratch, xs: &[&[f64]], out: &mut [f64]) {
-            assert!((1..=LANES).contains(&xs.len()), "{} points", xs.len());
-            s.0 += 1;
-            s.1 += xs.len();
-            for (o, x) in out.iter_mut().zip(xs) {
-                assert!(!self.walled(x), "a wall took a lane");
-                *o = self.value(x);
-            }
-        }
-    }
-
-    fn opt_bits(r: &OptResult) -> (Vec<u64>, u64, usize, bool) {
-        (r.x.iter().map(|v| v.to_bits()).collect(), r.fx.to_bits(), r.evals, r.converged)
-    }
-
-    #[test]
-    fn lockstep_starts_match_sequential_runs_bit_for_bit() {
-        let ranges = [SampleRange { lo: -3.0, hi: 3.0 }; 3];
-        let budgets = [
-            NelderMeadOptions { max_evals: 150, ..Default::default() },
-            NelderMeadOptions { max_evals: 3000, ..Default::default() },
-        ];
-        let (mut all_walls, mut converged, mut exhausted) = (0, 0, 0);
-        for seed in 0..12u64 {
-            let obj = Rugged {
-                centre: [0.3 * seed as f64 - 1.0, 0.7, -0.2 * seed as f64],
-                wall: -2.0 + 0.2 * seed as f64,
-            };
-            let opts = &budgets[seed as usize % 2];
-            for n_starts in 1..=9usize {
-                // Up to two extra starts after the Latin-hypercube draw,
-                // one of them exactly on the soft wall.
-                let extra: Vec<Vec<f64>> =
-                    [vec![1.0, -1.0, obj.wall], vec![2.4, 1.9, 0.0]][..n_starts % 3].to_vec();
-                let starts = multi_starts(&ranges, n_starts, &extra, seed);
-                let walled = |x: &[f64]| if obj.walled(x) { f64::INFINITY } else { obj.value(x) };
-                let sequential: Vec<OptResult> =
-                    starts.iter().map(|x0| nelder_mead(walled, x0, opts)).collect();
-
-                let groups: Vec<_> = (0..starts.len().div_ceil(LANES))
-                    .map(|_| Mutex::new(LaneGroup::new((0, 0, 0))))
-                    .collect();
-                let best = lockstep_nelder_mead(&obj, &groups, &starts, opts);
-                let mut got = Vec::new();
-                let (mut points, mut walls) = (0, 0);
-                for g in &groups {
-                    let g = lock(g);
-                    got.extend(g.runs().iter().map(NelderMead::result));
-                    points += g.scratch.1;
-                    walls += g.scratch.2;
-                }
-                assert_eq!(got.len(), starts.len());
-                for (i, (g, w)) in got.iter().zip(&sequential).enumerate() {
-                    assert_eq!(
-                        opt_bits(g),
-                        opt_bits(w),
-                        "seed {seed}, {n_starts} starts: start {i}"
-                    );
-                }
-                let first_best =
-                    sequential.iter().min_by(|a, b| a.fx.total_cmp(&b.fx)).expect("starts");
-                assert_eq!(opt_bits(&best), opt_bits(first_best));
-                let evals: usize = sequential.iter().map(|r| r.evals).sum();
-                assert_eq!(points + walls, evals, "every evaluation went through the objective");
-                all_walls += walls;
-                converged += sequential.iter().filter(|r| r.converged).count();
-                exhausted += sequential.iter().filter(|r| !r.converged).count();
-
-                // The scalar entry point, one point at a time, agrees too.
-                let pointwise =
-                    multi_start_nelder_mead_with(|| walled, &ranges, n_starts, &extra, seed, opts);
-                assert_eq!(opt_bits(&pointwise), opt_bits(first_best));
-            }
-        }
-        assert!(
-            all_walls > 0 && converged > 0 && exhausted > 0,
-            "{all_walls} {converged} {exhausted}"
-        );
-    }
-
-    #[test]
-    fn stepper_restart_reuses_buffers_and_repeats_the_run() {
-        let f = |x: &[f64]| (x[0] - 0.4).powi(2) + 3.0 * (x[1] + 0.1).powi(2);
-        let opts = NelderMeadOptions::default();
-        let mut nm = NelderMead::new(&[2.0, 2.0], &opts);
-        while let Some(x) = nm.ask() {
-            let v = f(x);
-            nm.tell(v);
-        }
-        let first = nm.result();
-        assert!(nm.is_done() && first.converged);
-        for x0 in [[-1.0, 0.5], [2.0, 2.0]] {
-            nm.restart(&x0, &opts);
-            assert!(!nm.is_done());
-            while let Some(x) = nm.ask() {
-                let v = f(x);
-                nm.tell(v);
-            }
-            assert_eq!(opt_bits(&nm.result()), opt_bits(&nelder_mead(f, &x0, &opts)));
-        }
-        assert_eq!(opt_bits(&nm.result()), opt_bits(&first));
-    }
-
-    #[test]
-    fn zero_start_coordinate_gets_absolute_step() {
-        // Regression: a zero coordinate must still perturb the simplex.
-        let f = |x: &[f64]| (x[0] - 0.05).powi(2);
-        let r = nelder_mead(f, &[0.0], &NelderMeadOptions::default());
-        assert!((r.x[0] - 0.05).abs() < 1e-5);
-    }
-}
+mod reference;
+#[cfg(test)]
+mod tests;

@@ -264,6 +264,7 @@ const HOT_PATHS: &[&str] = &[
     "crates/linalg/src/fastpath/posterior.rs",
     "crates/linalg/src/fastpath/vector.rs",
     "crates/linalg/src/mat.rs",
+    "crates/linalg/src/optimize.rs",
 ];
 
 /// R8: files whose `on_event` / `on_*` / `handle*` fns are sim event

@@ -139,6 +139,7 @@ fn hot_index_fires_in_every_pinned_hot_path() {
         "crates/linalg/src/fastpath/normal.rs",
         "crates/linalg/src/fastpath/posterior.rs",
         "crates/linalg/src/fastpath/vector.rs",
+        "crates/linalg/src/optimize.rs",
         "crates/cloudsim/src/sim.rs",
     ] {
         let rules = fired(hot, "hot_index_bad.rs");

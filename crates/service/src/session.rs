@@ -232,6 +232,9 @@ struct SessionState {
     /// Watchers blocked in `wait_past`: `push_event` notifies only when
     /// one is waiting.
     event_waiters: usize,
+    /// Test hook ([`Session::hold_after_first_event`]): while set, the
+    /// worker waits in `push_event` after appending an event.
+    hold: bool,
 }
 
 /// Where a replay of a finished session's search stops.
@@ -286,6 +289,7 @@ impl Session {
                 cached: Vec::new(),
                 spine: None,
                 event_waiters: 0,
+                hold: false,
             }),
             state_cv: Condvar::new(),
             cancel: AtomicBool::new(false),
@@ -311,6 +315,7 @@ impl Session {
             cached,
             spine: Some(ReplayStop::SpineEnd),
             event_waiters: 0,
+            hold: false,
         };
         session
     }
@@ -402,11 +407,34 @@ impl Session {
         let mut st = lock_or_die(&self.state, "session state");
         st.events.push(event);
         st.cached.extend(cached);
+        if st.hold {
+            self.state_cv.notify_all();
+            while st.hold && !self.cancel_requested() {
+                st = wait_or_die(&self.state_cv, st, "session state");
+            }
+            return;
+        }
         let waiters = st.event_waiters;
         drop(st);
         if waiters > 0 {
             self.state_cv.notify_all();
         }
+    }
+
+    /// Test hook: the worker stops after the next event it emits until
+    /// [`release_hold`](Self::release_hold) (or a cancel), so a watcher can
+    /// read a running session's first event before the search goes on.
+    /// Arm it on a queued session, and release it from the watcher: a
+    /// held worker also holds up the manager's shutdown.
+    pub fn hold_after_first_event(&self) {
+        lock_or_die(&self.state, "session state").hold = true;
+    }
+
+    /// Let a worker held by [`hold_after_first_event`](Self::hold_after_first_event)
+    /// go on.
+    pub fn release_hold(&self) {
+        lock_or_die(&self.state, "session state").hold = false;
+        self.state_cv.notify_all();
     }
 
     /// Publish a new phase. A terminal phase freezes the trace: unless

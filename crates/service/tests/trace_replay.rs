@@ -185,6 +185,10 @@ fn a_watcher_behind_when_its_session_ends_gets_the_whole_sequence() {
     let spec = heterbo_spec(3);
     let id = m.submit(spec.clone()).expect("submit");
     let session = m.session(id).expect("session");
+    // The worker stops after its first event until the watcher has read
+    // it, so the first batch comes from the running session however fast
+    // the search is.
+    session.hold_after_first_event();
     // The watcher is parked on the queued session before the pool runs.
     let resume = {
         let m = m.clone();
@@ -201,6 +205,7 @@ fn a_watcher_behind_when_its_session_ends_gets_the_whole_sequence() {
             if batches.is_empty() {
                 // Read one batch, then fall behind until the session ends.
                 first_was_live = !session.phase().is_terminal();
+                session.release_hold();
                 let _ = session.wait_terminal();
             }
             batches.push(batch.to_vec());
