@@ -345,7 +345,7 @@ mod tests {
         // The fan-out must be invisible in the numbers: every cell of a
         // parallel grid run is bit-identical to the same experiment
         // executed directly (sequentially), including the GP-backed
-        // searcher with its warm-started, workspace-cached fits.
+        // searcher with its workspace-cached fits.
         let report = small_grid().run();
         for cell in &report.cells {
             let searcher: Box<dyn Searcher> = match cell.searcher.as_str() {

@@ -18,7 +18,6 @@ use crate::search::policies::{
     ConcaveScaleOutPrior, ConvergenceStop, CostPenalisedAcquisition, InitPolicy, RandomInit,
     SpaceTrim, TeiReserveGate, TypeSweepInit,
 };
-use crate::search::surrogate::RefitPolicy;
 use crate::search::trace::{NullSink, TraceSink};
 use crate::search::Searcher;
 use mlcd_cloudsim::InstanceType;
@@ -90,20 +89,6 @@ pub struct BoConfig {
     /// posterior incrementally (`O(n²)`) in between. 1 = refit every step
     /// (the default; exact but `O(n³)` per step).
     pub gp_refit_every: usize,
-    /// Warm-start each GP refit from the previous step's fitted
-    /// hyperparameters (extra optimiser start; deterministic). See
-    /// [`RefitPolicy::warm_start`]. The paper-faithful constructors
-    /// leave this off: warm starts can land a (better) different
-    /// likelihood optimum, which perturbs search trajectories and the
-    /// seed-pinned figure reproductions. Flip it on for speed — DESIGN.md
-    /// §6 "GP fit fast path" records the warm refit's measured cost.
-    pub gp_warm_start: bool,
-    /// Observation count from which warm-started refits shrink their
-    /// restart budget. See [`RefitPolicy::warm_burnin`].
-    pub gp_warm_burnin: usize,
-    /// Latin-hypercube restarts kept per refit past the burn-in. See
-    /// [`RefitPolicy::warm_restarts`].
-    pub gp_warm_restarts: usize,
     /// RNG seed (init points, tie-breaks, GP restarts).
     pub seed: u64,
 }
@@ -128,9 +113,6 @@ impl BoConfig {
                 parallel_init: false,
                 acquisition: AcquisitionKind::ExpectedImprovement,
                 gp_refit_every: 1,
-                gp_warm_start: false,
-                gp_warm_burnin: 8,
-                gp_warm_restarts: 3,
                 seed: 0,
             },
         }
@@ -223,24 +205,6 @@ impl BoConfigBuilder {
         self
     }
 
-    /// Warm-start GP refits.
-    pub fn gp_warm_start(mut self, v: bool) -> Self {
-        self.cfg.gp_warm_start = v;
-        self
-    }
-
-    /// Warm-start burn-in observation count.
-    pub fn gp_warm_burnin(mut self, v: usize) -> Self {
-        self.cfg.gp_warm_burnin = v;
-        self
-    }
-
-    /// Restarts kept per warm refit past the burn-in.
-    pub fn gp_warm_restarts(mut self, v: usize) -> Self {
-        self.cfg.gp_warm_restarts = v;
-        self
-    }
-
     /// RNG seed.
     pub fn seed(mut self, v: u64) -> Self {
         self.cfg.seed = v;
@@ -309,12 +273,7 @@ impl BoCore {
             .seed(cfg.seed)
             .account_sunk(cfg.account_sunk)
             .constraint_aware(cfg.constraint_aware)
-            .refit(RefitPolicy {
-                refit_every: cfg.gp_refit_every,
-                warm_start: cfg.gp_warm_start,
-                warm_burnin: cfg.gp_warm_burnin,
-                warm_restarts: cfg.gp_warm_restarts,
-            })
+            .refit_every(cfg.gp_refit_every)
             .init(init)
             .gate(Box::new(TeiReserveGate {
                 reserve_protection: cfg.reserve_protection,

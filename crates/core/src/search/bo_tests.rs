@@ -53,9 +53,6 @@ fn builder_configs_match_the_pre_refactor_literals() {
         parallel_init: false,
         acquisition: AcquisitionKind::ExpectedImprovement,
         gp_refit_every: 1,
-        gp_warm_start: false,
-        gp_warm_burnin: 8,
-        gp_warm_restarts: 3,
         seed: 42,
     };
     assert_eq!(*HeterBo::seeded(42).core().config(), expect_heterbo);
@@ -74,9 +71,6 @@ fn builder_configs_match_the_pre_refactor_literals() {
         parallel_init: false,
         acquisition: AcquisitionKind::ExpectedImprovement,
         gp_refit_every: 1,
-        gp_warm_start: false,
-        gp_warm_burnin: 8,
-        gp_warm_restarts: 3,
         seed: 42,
     };
     assert_eq!(ConvBo::base_config(42), expect_convbo);
@@ -331,48 +325,6 @@ fn traced_search_is_bit_identical_to_untraced() {
         assert_eq!(trace.probes().count(), traced.steps.len(), "{}", s.name());
         assert_eq!(trace.stop_reason(), Some(traced.stop_reason));
     }
-}
-
-#[test]
-fn warm_started_searches_are_deterministic_at_every_burnin_boundary() {
-    // The warm-start restart shrink kicks in when the observation count
-    // crosses `gp_warm_burnin` mid-search. Wherever that boundary
-    // lands — never (large burn-in), immediately (0), or mid-loop —
-    // two runs with the same seed must produce identical trajectories,
-    // step for step and observation for observation.
-    for burnin in [0usize, 4, 6, 100] {
-        let run = || {
-            let mut h = HeterBo::seeded(17);
-            h.0.cfg.gp_warm_start = true;
-            h.0.cfg.gp_warm_burnin = burnin;
-            let mut env = make_env();
-            h.search(&mut env, &Scenario::FastestUnlimited)
-        };
-        let (a, b) = (run(), run());
-        assert_eq!(a.steps.len(), b.steps.len(), "burnin {burnin}");
-        for (x, y) in a.steps.iter().zip(&b.steps) {
-            assert_eq!(x.observation.deployment, y.observation.deployment);
-            assert_eq!(x.observation.speed, y.observation.speed);
-            assert_eq!(x.observation.profile_cost, y.observation.profile_cost);
-        }
-        assert_eq!(a.best.map(|o| o.deployment), b.best.map(|o| o.deployment), "burnin {burnin}");
-        assert_eq!(a.profile_cost, b.profile_cost);
-        assert_eq!(a.profile_time, b.profile_time);
-    }
-}
-
-#[test]
-fn warm_start_on_is_still_deterministic_and_finds_the_optimum() {
-    let run = || {
-        let mut h = HeterBo::seeded(19);
-        h.0.cfg.gp_warm_start = true;
-        let mut env = make_env();
-        h.search(&mut env, &Scenario::FastestUnlimited)
-    };
-    let (a, b) = (run(), run());
-    assert_eq!(a.best.as_ref().unwrap().deployment, b.best.as_ref().unwrap().deployment);
-    assert_eq!(a.steps.len(), b.steps.len());
-    assert!(a.best.unwrap().speed > 430.0);
 }
 
 #[test]

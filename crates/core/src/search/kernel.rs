@@ -22,7 +22,7 @@ use crate::search::policies::{
     CostPenalisedAcquisition, FeasibilityGate, FrontierContext, InitPolicy, RandomInit,
     StopContext, StopPolicy, TeiReserveGate,
 };
-use crate::search::surrogate::{RefitPolicy, Surrogate};
+use crate::search::surrogate::Surrogate;
 use crate::search::trace::{PruneReason, TraceEvent, TraceSink};
 use mlcd_cloudsim::{Money, SimDuration};
 use rand::rngs::SmallRng;
@@ -86,7 +86,7 @@ pub struct SearchKernel {
     seed: u64,
     account_sunk: bool,
     constraint_aware: bool,
-    refit: RefitPolicy,
+    refit_every: usize,
     init: Box<dyn InitPolicy>,
     pruners: Vec<Box<dyn CandidatePruner>>,
     gate: Box<dyn FeasibilityGate>,
@@ -105,7 +105,7 @@ impl SearchKernel {
                 seed: 0,
                 account_sunk: false,
                 constraint_aware: false,
-                refit: RefitPolicy::default(),
+                refit_every: 1,
                 init: Box::new(RandomInit { k: 3, parallel: false }),
                 pruners: Vec::new(),
                 gate: Box::new(TeiReserveGate {
@@ -287,7 +287,7 @@ impl SearchKernel {
                 env.space(),
                 &observations,
                 self.seed,
-                &self.refit,
+                self.refit_every,
             );
             let Some(ref surrogate) = surrogate_state else {
                 // Not enough data for a model yet: explore a random
@@ -609,9 +609,10 @@ impl SearchKernelBuilder {
         self
     }
 
-    /// How often GP hyperparameters are refitted.
-    pub fn refit(mut self, refit: RefitPolicy) -> Self {
-        self.kernel.refit = refit;
+    /// Refit GP hyperparameters every k-th observation, extending the
+    /// posterior incrementally in between (see [`Surrogate::update`]).
+    pub fn refit_every(mut self, k: usize) -> Self {
+        self.kernel.refit_every = k;
         self
     }
 

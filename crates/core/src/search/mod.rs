@@ -33,7 +33,7 @@ pub use bo::{BoConfig, BoConfigBuilder, CherryPick, ConvBo, HeterBo, InitStrateg
 pub use exhaustive::ExhaustiveSearch;
 pub use kernel::SearchKernel;
 pub use random::RandomSearch;
-pub use surrogate::{RefitPolicy, Surrogate};
+pub use surrogate::Surrogate;
 pub use trace::{NullSink, PruneReason, SearchTrace, TraceEvent, TraceSink};
 
 use crate::env::ProfilingEnv;

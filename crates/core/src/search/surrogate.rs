@@ -12,45 +12,10 @@ use mlcd_gp::{
     FitOptions, FitScratch, GpModel, InputScaler, KernelFamily, Prediction, ScoreWorkspace,
 };
 
-/// How [`Surrogate::update`] refreshes hyperparameters across BO steps.
-#[derive(Debug, Clone)]
-pub struct RefitPolicy {
-    /// Refit hyperparameters every k-th observation, extending the
-    /// posterior incrementally (`O(n²)`, fixed hyperparameters) in
-    /// between. 1 = refit every step. Values are clamped to ≥ 1.
-    pub refit_every: usize,
-    /// Seed each refit's optimiser with the previous optimum (an extra
-    /// Nelder–Mead start). The surface moves little between consecutive
-    /// refits, so the carried-over θ is usually at or near the basin of
-    /// the new optimum.
-    pub warm_start: bool,
-    /// Observation count from which a warm-started refit also *shrinks*
-    /// the restart budget (see [`FitOptions::warm_burnin`]).
-    pub warm_burnin: usize,
-    /// Latin-hypercube restarts kept past the burn-in (see
-    /// [`FitOptions::warm_restarts`]).
-    pub warm_restarts: usize,
-}
-
-impl Default for RefitPolicy {
-    fn default() -> Self {
-        let fit = FitOptions::default();
-        RefitPolicy {
-            refit_every: 1,
-            warm_start: true,
-            warm_burnin: fit.warm_burnin,
-            warm_restarts: fit.warm_restarts,
-        }
-    }
-}
-
 /// A fitted surrogate.
 pub struct Surrogate {
     gp: GpModel,
     scaler: InputScaler,
-    /// Log-space optimum of the last full hyperparameter fit; carried
-    /// through incremental extensions so the next refit can warm-start.
-    theta: Vec<f64>,
     /// Fit buffers carried across refits (distance planes, lockstep
     /// groups and lane buffers), so a refit reuses the previous allocation
     /// instead of growing fresh ones each step.
@@ -58,30 +23,29 @@ pub struct Surrogate {
 }
 
 impl Surrogate {
-    /// Fit to the observations from scratch (no warm start). Returns
-    /// `None` with fewer than two observations or if the GP fit fails
-    /// (both are handled by the caller falling back to pure exploration).
+    /// Fit to the observations from scratch. Returns `None` with fewer
+    /// than two observations or if the GP fit fails (both are handled by
+    /// the caller falling back to pure exploration).
     pub fn fit(space: &SearchSpace, observations: &[Observation], seed: u64) -> Option<Surrogate> {
-        Self::fit_warm(space, observations, seed, None, &RefitPolicy::default(), FitScratch::new())
+        Self::fit_with(space, observations, seed, FitScratch::new())
     }
 
     /// Refresh an existing surrogate with the observation list grown by
     /// exactly one: extends the posterior incrementally in `O(n²)` (fixed
     /// hyperparameters) between refits and pays the full `O(n³)`
     /// marginal-likelihood refit only every `refit_every`-th observation —
-    /// the standard BO cadence. Any mismatch in counts, or a numerically
-    /// unextendable point, falls back to a full refit. Refits are
-    /// warm-started from the previous surrogate's optimum when the policy
-    /// asks for it.
+    /// the standard BO cadence; 1 refits every step, and 0 counts as 1.
+    /// Any mismatch in counts, or a numerically unextendable point, falls
+    /// back to a full refit. Every refit is the cold fit
+    /// [`fit`](Self::fit) runs, on the previous surrogate's buffers.
     pub fn update(
         prev: Option<Surrogate>,
         space: &SearchSpace,
         observations: &[Observation],
         seed: u64,
-        policy: &RefitPolicy,
+        refit_every: usize,
     ) -> Option<Surrogate> {
-        let refit_every = policy.refit_every.max(1);
-        let mut warm = None;
+        let refit_every = refit_every.max(1);
         let mut scratch = FitScratch::new();
         if let Some(prev) = prev {
             let is_increment = observations.len() == prev.gp.n_obs() + 1;
@@ -90,28 +54,18 @@ impl Surrogate {
                 let newest = observations.last().expect("non-empty");
                 let x = prev.scaler.scale(&space.features(&newest.deployment));
                 if let Ok(gp) = prev.gp.extend(x, newest.speed) {
-                    return Some(Surrogate {
-                        gp,
-                        scaler: prev.scaler,
-                        theta: prev.theta,
-                        scratch: prev.scratch,
-                    });
+                    return Some(Surrogate { gp, scaler: prev.scaler, scratch: prev.scratch });
                 }
-            }
-            if policy.warm_start {
-                warm = Some(prev.theta);
             }
             scratch = prev.scratch;
         }
-        Self::fit_warm(space, observations, seed, warm, policy, scratch)
+        Self::fit_with(space, observations, seed, scratch)
     }
 
-    fn fit_warm(
+    fn fit_with(
         space: &SearchSpace,
         observations: &[Observation],
         seed: u64,
-        warm: Option<Vec<f64>>,
-        policy: &RefitPolicy,
         mut scratch: FitScratch,
     ) -> Option<Surrogate> {
         if observations.len() < 2 {
@@ -133,16 +87,13 @@ impl Surrogate {
             log_lengthscale: ((0.05f64).ln(), (1.5f64).ln()),
             log_signal_var: ((0.1f64).ln(), (10.0f64).ln()),
             log_noise_var: ((1e-6f64).ln(), (0.05f64).ln()),
-            warm_start: warm,
-            warm_burnin: policy.warm_burnin,
-            warm_restarts: policy.warm_restarts,
             ..FitOptions::default()
         };
         let hp =
             fit_hyperparams_with_scratch(&xs, &ys, KernelFamily::Matern52, &opts, &mut scratch)
                 .ok()?;
         let gp = GpModel::with_hyperparams(&xs, &ys, hp.kernel, hp.noise_var).ok()?;
-        Some(Surrogate { gp, scaler, theta: hp.theta, scratch })
+        Some(Surrogate { gp, scaler, scratch })
     }
 
     /// Posterior belief about the speed of a deployment.
@@ -279,10 +230,9 @@ mod tests {
         // Start from a full fit (3 obs), extend one at a time with a long
         // refit cadence so the incremental path is exercised.
         let mut sur = Surrogate::fit(&s, &observations, 5);
-        let policy = RefitPolicy { refit_every: 1000, ..RefitPolicy::default() };
         for &n in &[30u32, 40, 45] {
             observations.push(obs(n, 100.0 + 3.0 * n as f64));
-            sur = Surrogate::update(sur, &s, &observations, 5, &policy);
+            sur = Surrogate::update(sur, &s, &observations, 5, 1000);
         }
         let sur = sur.unwrap();
         assert_eq!(sur.n_obs(), 6);
@@ -306,7 +256,7 @@ mod tests {
             [1u32, 9, 22, 37].iter().map(|&n| obs(n, 60.0 + 5.0 * n as f64)).collect();
         let ds: Vec<Deployment> =
             (1..=50).map(|n| Deployment::new(InstanceType::C54xlarge, n)).collect();
-        let mut sur = Surrogate::update(None, &s, &observations, 13, &RefitPolicy::default());
+        let mut sur = Surrogate::update(None, &s, &observations, 13, 1);
         let mut ws = ScoreWorkspace::new();
         // Three consecutive BO steps: extend the model between scoring
         // passes and keep reusing the same workspace throughout.
@@ -316,7 +266,7 @@ mod tests {
             let fresh = sur_ref.predict_batch(&s, &ds);
             assert_eq!(ws.predictions(), &fresh[..]);
             observations.push(obs(n, 60.0 + 5.0 * n as f64));
-            sur = Surrogate::update(sur, &s, &observations, 13, &RefitPolicy::default());
+            sur = Surrogate::update(sur, &s, &observations, 13, 1);
         }
     }
 
@@ -326,16 +276,14 @@ mod tests {
         let observations: Vec<Observation> =
             [1u32, 10, 20, 30].iter().map(|&n| obs(n, 50.0 + n as f64)).collect();
         // refit_every = 1: always a fresh fit, identical to Surrogate::fit.
-        let via_update =
-            Surrogate::update(None, &s, &observations, 7, &RefitPolicy::default()).unwrap();
+        let via_update = Surrogate::update(None, &s, &observations, 7, 1).unwrap();
         let via_fit = Surrogate::fit(&s, &observations, 7).unwrap();
         let d = Deployment::new(InstanceType::C54xlarge, 15);
         assert_eq!(via_update.predict(&s, &d).mean, via_fit.predict(&s, &d).mean);
         // A count jump of +2 cannot extend → falls back to a full fit.
         let short: Vec<Observation> = observations[..2].to_vec();
         let prev = Surrogate::fit(&s, &short, 7);
-        let policy = RefitPolicy { refit_every: 1000, ..RefitPolicy::default() };
-        let jumped = Surrogate::update(prev, &s, &observations, 7, &policy).unwrap();
+        let jumped = Surrogate::update(prev, &s, &observations, 7, 1000).unwrap();
         assert_eq!(jumped.n_obs(), 4);
     }
 }

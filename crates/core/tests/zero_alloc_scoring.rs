@@ -17,7 +17,7 @@ use mlcd::deployment::{Deployment, SearchSpace};
 use mlcd::observation::Observation;
 use mlcd::scenario::Scenario;
 use mlcd::search::policies::{AcquisitionPolicy, CostPenalisedAcquisition};
-use mlcd::search::{RefitPolicy, Surrogate};
+use mlcd::search::Surrogate;
 use mlcd_cloudsim::{InstanceType, Money, SimDuration};
 use mlcd_gp::ScoreWorkspace;
 use mlcd_perfmodel::{ThroughputModel, TrainingJob};
@@ -82,8 +82,7 @@ fn warm_scoring_pass_allocates_nothing() {
         [1u32, 8, 15, 26, 40].iter().map(|&n| obs(n, speed(n))).collect();
     let pool: Vec<Deployment> = space.candidates().to_vec();
 
-    let policy = RefitPolicy { refit_every: 1000, ..RefitPolicy::default() };
-    let mut sur = Surrogate::update(None, &space, &observations, 7, &policy);
+    let mut sur = Surrogate::update(None, &space, &observations, 7, 1000);
 
     // Reserve for the largest model this test grows to (5 initial + 3
     // extensions) and the full pool, then run one warm-up pass so every
@@ -140,6 +139,6 @@ fn warm_scoring_pass_allocates_nothing() {
         }
 
         observations.push(obs(n, speed(n)));
-        sur = Surrogate::update(sur, &space, &observations, 7, &policy);
+        sur = Surrogate::update(sur, &space, &observations, 7, 1000);
     }
 }

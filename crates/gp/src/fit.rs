@@ -3,6 +3,8 @@
 //! Hyperparameters θ = (log σ_f², log ℓ₁…log ℓ_d, log σ_n²) are fitted by
 //! minimising the negative log marginal likelihood of the *standardised*
 //! targets with multi-start Nelder–Mead (starts drawn by Latin hypercube).
+//! Every fit starts from the same draw for its seed; nothing of a previous
+//! fit's optimum carries over.
 //!
 //! Working in log-space keeps every parameter positive without constrained
 //! optimisation; the search ranges below assume inputs roughly in the unit
@@ -42,7 +44,7 @@ use crate::workspace::DistanceWorkspace;
 use mlcd_linalg::fastpath::{Correlation, NlmlLanes, NlmlProblem};
 use mlcd_linalg::{
     lockstep_nelder_mead, multi_starts, Chol, LaneGroup, LaneObjective, Mat, NelderMeadOptions,
-    OptResult, SampleRange, LANES,
+    OptResult, SampleRange, LANES, MAX_DIM,
 };
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -65,18 +67,6 @@ pub struct FitOptions {
     /// Search range for log σ_n². The lower bound acts as a noise floor,
     /// which keeps kernel matrices well-conditioned.
     pub log_noise_var: (f64, f64),
-    /// Optional warm start appended to the restarts: the log-space θ of a
-    /// previous fit (length d+2). Invalid values (wrong length or
-    /// non-finite) are ignored. The Latin-hypercube draw is unaffected,
-    /// so adding a warm start can only improve the optimum.
-    pub warm_start: Option<Vec<f64>>,
-    /// Observation count at which a warm-started fit stops paying for the
-    /// full `n_starts` restarts: with `n ≥ warm_burnin` observations and a
-    /// valid warm start, only `warm_restarts` LHC starts run (plus the
-    /// warm start itself).
-    pub warm_burnin: usize,
-    /// LHC restarts used once warm-started past the burn-in.
-    pub warm_restarts: usize,
 }
 
 impl Default for FitOptions {
@@ -89,9 +79,6 @@ impl Default for FitOptions {
             log_lengthscale: ((0.02f64).ln(), (20.0f64).ln()),
             log_signal_var: ((0.05f64).ln(), (20.0f64).ln()),
             log_noise_var: ((1e-6f64).ln(), (1.0f64).ln()),
-            warm_start: None,
-            warm_burnin: 8,
-            warm_restarts: 3,
         }
     }
 }
@@ -105,8 +92,7 @@ pub struct FittedHyperparams {
     pub noise_var: f64,
     /// Negative log marginal likelihood at the optimum.
     pub nlml: f64,
-    /// The optimum in log space, `[log σ_f², log ℓ₁…log ℓ_d, log σ_n²]` —
-    /// feed it to [`FitOptions::warm_start`] to warm-start the next refit.
+    /// The optimum in log space, `[log σ_f², log ℓ₁…log ℓ_d, log σ_n²]`.
     pub theta: Vec<f64>,
 }
 
@@ -333,12 +319,12 @@ impl LaneObjective for Likelihood<'_> {
 /// Buffers that persist *across* fits, and the work counters of the fits
 /// run through them.
 ///
-/// A warm-started BO refit loop fits once per step over an input set that
-/// grows by one row each time. Carrying the scratch across calls rebuilds
-/// the distance planes in place and reuses every lockstep group's result
-/// buffers and lane buffers, so a refit stops allocating per
-/// group and per round once the buffers reach the search's maximum
-/// footprint. Results are bit-identical to the scratch-free path.
+/// A BO refit loop fits once per step over an input set that grows by one
+/// row each time. Carrying the scratch across calls rebuilds the distance
+/// planes in place and reuses every lockstep group's result buffers and
+/// lane buffers, so a refit stops allocating per group and per round once
+/// the buffers reach the search's maximum footprint. Results are
+/// bit-identical to the scratch-free path.
 #[derive(Debug, Default)]
 pub struct FitScratch {
     dist: DistanceWorkspace,
@@ -395,29 +381,15 @@ fn standardise(ys: &[f64]) -> Vec<f64> {
     ys.iter().map(|&y| scaler.transform(y)).collect()
 }
 
-/// A fit's start list: Latin-hypercube draws in the search box, then the
-/// warm start when it is valid.
-///
-/// Warm-start policy: a valid previous optimum always joins the start
-/// list; once enough observations are in (burn-in passed), it also
-/// replaces most of the LHC restarts — the surface changes little between
-/// consecutive refits, so the carried-over optimum plus a few fresh starts
-/// explore enough.
-fn start_list(n: usize, d: usize, opts: &FitOptions) -> Vec<Vec<f64>> {
+/// A fit's start list: `n_starts` Latin-hypercube draws in the search box.
+fn start_list(d: usize, opts: &FitOptions) -> Vec<Vec<f64>> {
     let mut ranges = Vec::with_capacity(d + 2);
     ranges.push(SampleRange::new(opts.log_signal_var.0, opts.log_signal_var.1));
     for _ in 0..d {
         ranges.push(SampleRange::new(opts.log_lengthscale.0, opts.log_lengthscale.1));
     }
     ranges.push(SampleRange::new(opts.log_noise_var.0, opts.log_noise_var.1));
-    let warm: Option<&[f64]> =
-        opts.warm_start.as_deref().filter(|w| w.len() == d + 2 && w.iter().all(|v| v.is_finite()));
-    let n_lhc = match warm {
-        Some(_) if n >= opts.warm_burnin => opts.warm_restarts,
-        _ => opts.n_starts,
-    };
-    let extra: Vec<Vec<f64>> = warm.map(|w| w.to_vec()).into_iter().collect();
-    multi_starts(&ranges, n_lhc, &extra, opts.seed)
+    multi_starts(&ranges, opts.n_starts, opts.seed)
 }
 
 /// [`fit_hyperparams`] with caller-retained buffers: the distance planes
@@ -425,6 +397,12 @@ fn start_list(n: usize, d: usize, opts: &FitOptions) -> Vec<Vec<f64>> {
 /// reused, so consecutive refits over a growing input set stop allocating
 /// per group and per round. Bit-identical to [`fit_hyperparams`] for the
 /// same inputs and options; counted in [`FitScratch::counters`].
+///
+/// # Errors
+/// [`GpError::BadTrainingData`] on empty, mismatched, ragged or
+/// zero-dimensional inputs, on inputs whose θ (`d + 2` coordinates) is
+/// longer than the optimiser's [`MAX_DIM`], on `n_starts = 0`, and when
+/// the likelihood is not finite anywhere in the search box.
 pub fn fit_hyperparams_with_scratch(
     xs: &[Vec<f64>],
     ys: &[f64],
@@ -446,6 +424,16 @@ pub fn fit_hyperparams_with_scratch(
     if d == 0 {
         return Err(GpError::BadTrainingData("zero-dimensional inputs".into()));
     }
+    // θ has d + 2 coordinates, and the optimiser takes at most MAX_DIM.
+    if d + 2 > MAX_DIM {
+        return Err(GpError::BadTrainingData(format!(
+            "{d}-dimensional inputs; a fit takes at most {}",
+            MAX_DIM - 2
+        )));
+    }
+    if opts.n_starts == 0 {
+        return Err(GpError::BadTrainingData("no optimiser starts (n_starts = 0)".into()));
+    }
     for (i, row) in xs.iter().enumerate() {
         if row.len() != d {
             return Err(GpError::BadTrainingData(format!("ragged input at row {i}")));
@@ -453,7 +441,7 @@ pub fn fit_hyperparams_with_scratch(
     }
 
     let z = standardise(ys);
-    let starts = start_list(xs.len(), d, opts);
+    let starts = start_list(d, opts);
     let n_groups = starts.len().div_ceil(LANES);
     if scratch.groups.len() < n_groups {
         scratch.groups.resize_with(n_groups, Default::default);
@@ -491,7 +479,7 @@ pub fn fit_hyperparams_with_scratch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlcd_linalg::{multi_start_nelder_mead_with, nelder_mead};
+    use mlcd_linalg::{multi_start_nelder_mead, nelder_mead};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -554,62 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_never_worse_and_deterministic() {
-        let (xs, ys) = smooth_data(16, 0.05, 6);
-        let cold_opts = FitOptions::default();
-        let cold = fit_hyperparams(&xs, &ys, KernelFamily::Matern52, &cold_opts).unwrap();
-        // Past the burn-in the warm fit runs only warm_restarts LHC starts
-        // plus the carried-over optimum; Nelder–Mead from that optimum can
-        // only go downhill, so the refit is never worse than the cold one.
-        let warm_opts =
-            FitOptions { warm_start: Some(cold.theta.clone()), ..FitOptions::default() };
-        let warm = fit_hyperparams(&xs, &ys, KernelFamily::Matern52, &warm_opts).unwrap();
-        assert!(warm.nlml <= cold.nlml + 1e-9, "warm {} vs cold {}", warm.nlml, cold.nlml);
-        let warm2 = fit_hyperparams(&xs, &ys, KernelFamily::Matern52, &warm_opts).unwrap();
-        assert_eq!(warm.theta, warm2.theta);
-        assert_eq!(warm.nlml, warm2.nlml);
-    }
-
-    #[test]
-    fn invalid_warm_start_is_ignored() {
-        let (xs, ys) = smooth_data(10, 0.05, 8);
-        let cold = fit_hyperparams(&xs, &ys, KernelFamily::Matern52, &FitOptions::default());
-        for bad in [vec![0.0; 2], vec![f64::NAN, 0.0, 0.0], vec![]] {
-            let opts = FitOptions { warm_start: Some(bad), ..FitOptions::default() };
-            let got = fit_hyperparams(&xs, &ys, KernelFamily::Matern52, &opts).unwrap();
-            // A rejected warm start leaves the start list and the restart
-            // count untouched, so the fit is bit-identical to a cold one.
-            assert_eq!(got.theta, cold.as_ref().unwrap().theta);
-        }
-    }
-
-    #[test]
-    fn burnin_gates_the_restart_shrink() {
-        // Below the burn-in a warm start is appended but the full restart
-        // budget still runs, so the result can only improve on cold; at or
-        // past the burn-in only warm_restarts LHC starts run. Both paths
-        // must stay deterministic and finite.
-        let (xs, ys) = smooth_data(6, 0.05, 9);
-        let cold =
-            fit_hyperparams(&xs, &ys, KernelFamily::Matern52, &FitOptions::default()).unwrap();
-        let below = FitOptions {
-            warm_start: Some(cold.theta.clone()),
-            warm_burnin: 100, // n=6 < 100: full budget
-            ..FitOptions::default()
-        };
-        let past = FitOptions {
-            warm_start: Some(cold.theta.clone()),
-            warm_burnin: 2, // n=6 ≥ 2: shrunk budget
-            ..FitOptions::default()
-        };
-        let a = fit_hyperparams(&xs, &ys, KernelFamily::Matern52, &below).unwrap();
-        let b = fit_hyperparams(&xs, &ys, KernelFamily::Matern52, &past).unwrap();
-        assert!(a.nlml <= cold.nlml + 1e-9);
-        assert!(b.nlml <= cold.nlml + 1e-9);
-        assert!(a.nlml.is_finite() && b.nlml.is_finite());
-    }
-
-    #[test]
     fn cached_and_naive_paths_agree_on_the_optimum() {
         let (xs, ys) = smooth_data(14, 0.05, 10);
         let opts = FitOptions::default();
@@ -622,11 +554,10 @@ mod tests {
         let mut ranges = vec![SampleRange::new(opts.log_signal_var.0, opts.log_signal_var.1)];
         ranges.push(SampleRange::new(opts.log_lengthscale.0, opts.log_lengthscale.1));
         ranges.push(SampleRange::new(opts.log_noise_var.0, opts.log_noise_var.1));
-        let n = multi_start_nelder_mead_with(
-            || |theta: &[f64]| nlml_naive(theta, &xs, &z, family, &opts),
+        let n = multi_start_nelder_mead(
+            |theta: &[f64]| nlml_naive(theta, &xs, &z, family, &opts),
             &ranges,
             opts.n_starts,
-            &[],
             opts.seed,
             &opts.nm,
         );
@@ -646,13 +577,12 @@ mod tests {
     #[test]
     fn scratch_reuse_matches_fresh_fits_bitwise() {
         // Three consecutive "refits" over a growing input set through one
-        // scratch — exactly the warm-started BO cadence — must agree bit
-        // for bit with scratch-free fits.
+        // scratch — exactly the BO cadence — must agree bit for bit with
+        // scratch-free fits.
         let mut scratch = FitScratch::new();
-        let mut warm: Option<Vec<f64>> = None;
+        let opts = FitOptions::default();
         for n in [6usize, 7, 8] {
             let (xs, ys) = smooth_data(n, 0.05, 11);
-            let opts = FitOptions { warm_start: warm.clone(), ..FitOptions::default() };
             let with =
                 fit_hyperparams_with_scratch(&xs, &ys, KernelFamily::Matern52, &opts, &mut scratch)
                     .unwrap();
@@ -660,7 +590,6 @@ mod tests {
             assert_eq!(with.theta, fresh.theta, "n = {n}");
             assert_eq!(with.nlml.to_bits(), fresh.nlml.to_bits());
             assert_eq!(with.kernel, fresh.kernel);
-            warm = Some(with.theta);
         }
     }
 
@@ -687,20 +616,16 @@ mod tests {
         let xs: Vec<Vec<f64>> =
             (0..11).map(|_| (0..5).map(|_| rng.gen::<f64>()).collect()).collect();
         let ys: Vec<f64> = xs.iter().map(|x| x[0] * 3.0 - (x[1] * 4.0).sin() + x[4]).collect();
-        for (family, warm) in [(KernelFamily::Matern52, false), (KernelFamily::SquaredExp, true)] {
-            let cold = FitOptions::default();
-            let opts = if warm {
-                let prev = fit_hyperparams(&xs[..10], &ys[..10], family, &cold).unwrap();
-                FitOptions { warm_start: Some(prev.theta), warm_burnin: 100, ..cold }
-            } else {
-                cold
-            };
+        // Eight starts fill two lane groups; nine leave a third group with
+        // one start.
+        for (family, n_starts) in [(KernelFamily::Matern52, 8), (KernelFamily::SquaredExp, 9)] {
+            let opts = FitOptions { n_starts, ..FitOptions::default() };
             let mut scratch = FitScratch::new();
             let fit = fit_hyperparams_with_scratch(&xs, &ys, family, &opts, &mut scratch).unwrap();
 
             let z = standardise(&ys);
-            let starts = start_list(xs.len(), 5, &opts);
-            assert_eq!(starts.len(), if warm { 9 } else { 8 });
+            let starts = start_list(5, &opts);
+            assert_eq!(starts.len(), n_starts);
             let dist = DistanceWorkspace::new(&xs);
             let likelihood = Likelihood::new(&dist, &z, family, &opts);
             // One scratch per start, so each start's wall answers are known.
@@ -738,9 +663,9 @@ mod tests {
             let batches: u64 =
                 real.chunks(LANES).map(|g| g.iter().max().copied().unwrap_or(0)).sum();
             assert_eq!(c.batches, batches, "{family:?}: {c:?}");
-            // Cold: two full groups (0.912 here). Warm: the ninth start
-            // runs alone in a third group.
-            let floor = if warm { 0.6 } else { 0.9 };
+            // Eight starts: two full groups (0.912 here). Nine: the ninth
+            // start runs alone in a third group.
+            let floor = if n_starts == 8 { 0.9 } else { 0.6 };
             assert!(c.occupancy() >= floor, "{family:?}: occupancy {} ({c:?})", c.occupancy());
         }
     }
@@ -783,6 +708,31 @@ mod tests {
             &opts
         )
         .is_err());
+    }
+
+    #[test]
+    fn no_starts_is_an_error_not_a_panic() {
+        let (xs, ys) = smooth_data(6, 0.05, 14);
+        let opts = FitOptions { n_starts: 0, ..FitOptions::default() };
+        let err = fit_hyperparams(&xs, &ys, KernelFamily::Matern52, &opts).unwrap_err();
+        assert!(matches!(err, GpError::BadTrainingData(_)), "{err}");
+    }
+
+    #[test]
+    fn inputs_past_the_optimisers_dimension_are_an_error_not_a_panic() {
+        // θ has d + 2 coordinates: d = 14 is the widest fit, d = 15 one past it.
+        let mut rng = SmallRng::seed_from_u64(15);
+        for (d, ok) in [(MAX_DIM - 2, true), (MAX_DIM - 1, false)] {
+            let xs: Vec<Vec<f64>> =
+                (0..6).map(|_| (0..d).map(|_| rng.gen::<f64>()).collect()).collect();
+            let ys: Vec<f64> = xs.iter().map(|x| x.iter().sum()).collect();
+            let opts = FitOptions { n_starts: 1, ..FitOptions::default() };
+            let fit = fit_hyperparams(&xs, &ys, KernelFamily::Matern52, &opts);
+            match fit {
+                Ok(hp) => assert!(ok && hp.theta.len() == MAX_DIM, "d = {d}"),
+                Err(e) => assert!(!ok && matches!(e, GpError::BadTrainingData(_)), "d = {d}: {e}"),
+            }
+        }
     }
 
     #[test]

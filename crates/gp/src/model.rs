@@ -19,7 +19,9 @@ use mlcd_linalg::{Chol, CholError, Mat};
 /// Errors from building or using a GP model.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GpError {
-    /// Fewer than one observation, or x/y length mismatch.
+    /// Fewer than one observation, x/y length mismatch, or a fit the
+    /// optimiser cannot run (no starts, or inputs of more than
+    /// `MAX_DIM − 2` dimensions).
     BadTrainingData(String),
     /// The kernel matrix could not be factored even with jitter.
     Numerical(CholError),

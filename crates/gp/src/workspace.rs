@@ -43,7 +43,7 @@ impl DistanceWorkspace {
 
     /// Recompute the pairwise squared differences for a new input set in
     /// place, reusing the plane buffer whenever the new `dim · n(n−1)/2`
-    /// footprint fits its capacity. A warm-started refit loop grows `xs`
+    /// footprint fits its capacity. A BO refit loop grows `xs`
     /// by one observation per BO step; rebuilding in place keeps the
     /// per-refit workspace setup allocation-free once the buffer has
     /// reached the search's maximum size. Entry values are identical to a

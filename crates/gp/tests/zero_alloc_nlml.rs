@@ -147,7 +147,7 @@ fn warm_lane_group_run_allocates_nothing() {
     let mut ranges = vec![SampleRange::new(opts.log_signal_var.0, opts.log_signal_var.1)];
     ranges.extend([SampleRange::new(opts.log_lengthscale.0, opts.log_lengthscale.1); 5]);
     ranges.push(SampleRange::new(opts.log_noise_var.0, opts.log_noise_var.1));
-    let starts = multi_starts(&ranges, LANES, &[], opts.seed);
+    let starts = multi_starts(&ranges, LANES, opts.seed);
     let likelihood = Likelihood::new(&dist, &z, KernelFamily::Matern52, &opts);
     let mut group = LaneGroup::new(NlmlScratch::new());
     // Warm-up: the lane buffers and the group's result buffers grow.

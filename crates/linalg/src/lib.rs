@@ -44,9 +44,8 @@ pub mod stats;
 pub use chol::{Chol, CholError};
 pub use mat::Mat;
 pub use optimize::{
-    lockstep_nelder_mead, multi_start_nelder_mead, multi_start_nelder_mead_with, multi_starts,
-    nelder_mead, LaneGroup, LaneObjective, NelderMead, NelderMeadOptions, OptResult, LANES,
-    MAX_DIM,
+    lockstep_nelder_mead, multi_start_nelder_mead, multi_starts, nelder_mead, LaneGroup,
+    LaneObjective, NelderMead, NelderMeadOptions, OptResult, LANES, MAX_DIM,
 };
 pub use sampling::{latin_hypercube, SampleRange};
 pub use stats::{

@@ -32,7 +32,7 @@
 //! process-wide `rayon` helper pool (no thread is spawned per call) and
 //! picks the best in start order, so the result is the same at any thread
 //! count and under concurrent callers. Scalar objectives take the same path
-//! through [`multi_start_nelder_mead_with`], one point at a time.
+//! through [`multi_start_nelder_mead`], one point at a time.
 
 // lint: allow(hot-index, file) — vertex indices are below the const vertex count V = N + 1,
 // coordinate indices below the const dimension N, and lane indices below LANES (`m ≤ LANES`
@@ -42,7 +42,6 @@ use crate::sampling::{latin_hypercube, SampleRange};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use std::marker::PhantomData;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// How many starts run in lockstep: one per `f64` lane of an AVX2 register.
@@ -444,16 +443,16 @@ pub trait LaneObjective {
     fn eval_lanes(&self, scratch: &mut Self::Scratch, xs: &[&[f64]], out: &mut [f64]);
 }
 
-/// A scalar objective as a [`LaneObjective`]: each group's scratch is its
-/// own `F`, called on one point at a time.
-struct PointWise<F>(PhantomData<fn() -> F>);
+/// A scalar objective as a [`LaneObjective`], called on one point at a
+/// time.
+struct PointWise<F>(F);
 
-impl<F: FnMut(&[f64]) -> f64> LaneObjective for PointWise<F> {
-    type Scratch = F;
+impl<F: Fn(&[f64]) -> f64> LaneObjective for PointWise<F> {
+    type Scratch = ();
 
-    fn eval_lanes(&self, f: &mut F, xs: &[&[f64]], out: &mut [f64]) {
+    fn eval_lanes(&self, _: &mut (), xs: &[&[f64]], out: &mut [f64]) {
         for (o, x) in out.iter_mut().zip(xs) {
-            *o = f(x);
+            *o = (self.0)(x);
         }
     }
 }
@@ -597,9 +596,17 @@ where
 }
 
 /// Minimise `f` from `n_starts` Latin-hypercube starting points within
-/// `ranges` and return the best.
+/// `ranges` and return the best (the first in start order among equal
+/// values).
 ///
-/// Deterministic for a fixed `seed`.
+/// The starts run in lockstep groups of [`LANES`] through
+/// [`lockstep_nelder_mead`], each group calling `f` on one point at a
+/// time, so the result is deterministic for a fixed `seed` at any thread
+/// count.
+///
+/// # Panics
+/// Panics with no starts, or on ranges that are empty or longer than
+/// [`MAX_DIM`].
 pub fn multi_start_nelder_mead(
     f: impl Fn(&[f64]) -> f64 + Sync,
     ranges: &[SampleRange],
@@ -607,54 +614,20 @@ pub fn multi_start_nelder_mead(
     seed: u64,
     opts: &NelderMeadOptions,
 ) -> OptResult {
-    assert!(n_starts > 0, "multi_start_nelder_mead: need at least one start");
-    multi_start_nelder_mead_with(|| |x: &[f64]| f(x), ranges, n_starts, &[], seed, opts)
-}
-
-/// Generalised multi-start: `make_f` builds a fresh (possibly stateful)
-/// objective per group of [`LANES`] starts, which evaluates its starts'
-/// points one at a time, and `extra_starts` are appended after the
-/// `n_starts` Latin-hypercube points (e.g. a warm start carried over from
-/// a previous fit).
-///
-/// The LHC draw depends only on `ranges`, `n_starts` and `seed`, so
-/// appending extra starts never perturbs it. Results are reduced in start
-/// order (ties resolved by position, independent of thread scheduling),
-/// so the outcome is deterministic for a fixed `seed`.
-pub fn multi_start_nelder_mead_with<G, F>(
-    make_f: G,
-    ranges: &[SampleRange],
-    n_starts: usize,
-    extra_starts: &[Vec<f64>],
-    seed: u64,
-    opts: &NelderMeadOptions,
-) -> OptResult
-where
-    G: Fn() -> F,
-    F: FnMut(&[f64]) -> f64 + Send,
-{
-    let starts = multi_starts(ranges, n_starts, extra_starts, seed);
+    let starts = multi_starts(ranges, n_starts, seed);
     let groups: Vec<_> =
-        (0..starts.len().div_ceil(LANES)).map(|_| Mutex::new(LaneGroup::new(make_f()))).collect();
-    lockstep_nelder_mead(&PointWise(PhantomData), &groups, &starts, opts)
+        (0..starts.len().div_ceil(LANES)).map(|_| Mutex::new(LaneGroup::new(()))).collect();
+    lockstep_nelder_mead(&PointWise(f), &groups, &starts, opts)
 }
 
 /// The start list of a multi-start: `n_starts` Latin-hypercube points in
-/// `ranges` drawn from `seed`, then `extra_starts`.
+/// `ranges` drawn from `seed`.
 ///
 /// # Panics
-/// Panics when the list would be empty.
-pub fn multi_starts(
-    ranges: &[SampleRange],
-    n_starts: usize,
-    extra_starts: &[Vec<f64>],
-    seed: u64,
-) -> Vec<Vec<f64>> {
-    assert!(n_starts + extra_starts.len() > 0, "multi-start: need at least one start");
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut starts = latin_hypercube(ranges, n_starts, &mut rng);
-    starts.extend(extra_starts.iter().cloned());
-    starts
+/// Panics when `n_starts` is 0.
+pub fn multi_starts(ranges: &[SampleRange], n_starts: usize, seed: u64) -> Vec<Vec<f64>> {
+    assert!(n_starts > 0, "multi-start: need at least one start");
+    latin_hypercube(ranges, n_starts, &mut SmallRng::seed_from_u64(seed))
 }
 
 #[cfg(test)]

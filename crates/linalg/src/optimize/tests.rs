@@ -95,70 +95,22 @@ fn stateful_objective_is_accepted() {
 }
 
 #[test]
-fn factory_multi_start_matches_plain() {
-    // The generalised entry point with no extra starts is the same
-    // search as the original API — identical LHC draw, identical result.
-    let f = |x: &[f64]| (x[0] - 1.0).powi(2) + (x[1] - 2.0).powi(2);
-    let ranges = [SampleRange { lo: -3.0, hi: 3.0 }, SampleRange { lo: -3.0, hi: 3.0 }];
-    let opts = NelderMeadOptions::default();
-    let a = multi_start_nelder_mead(f, &ranges, 4, 7, &opts);
-    let b = multi_start_nelder_mead_with(|| f, &ranges, 4, &[], 7, &opts);
-    assert_eq!(a.x, b.x);
-    assert_eq!(a.fx, b.fx);
-}
-
-#[test]
-fn extra_start_can_win() {
-    // Narrow global well at x=-4 that LHC starts from [0, 5] cannot
-    // reach; a warm start placed inside it must be kept.
-    let f = |x: &[f64]| {
-        let wide = (x[0] - 3.0).powi(2) + 1.0;
-        let well = 50.0 * (x[0] + 4.0).powi(2);
-        wide.min(well)
-    };
-    let ranges = [SampleRange { lo: 0.0, hi: 5.0 }];
-    let opts = NelderMeadOptions::default();
-    let cold = multi_start_nelder_mead_with(|| f, &ranges, 4, &[], 11, &opts);
-    assert!((cold.x[0] - 3.0).abs() < 1e-3, "{cold:?}");
-    let warm = multi_start_nelder_mead_with(|| f, &ranges, 4, &[vec![-4.0]], 11, &opts);
-    assert!((warm.x[0] + 4.0).abs() < 1e-3, "{warm:?}");
-    assert!(warm.fx < 1e-6);
-}
-
-#[test]
-fn extra_starts_alone_suffice() {
-    // n_starts = 0 with a seeded start point is a valid configuration.
-    let f = |x: &[f64]| (x[0] - 0.25).powi(2);
-    let r = multi_start_nelder_mead_with(
-        || f,
-        &[SampleRange { lo: 0.0, hi: 1.0 }],
-        0,
-        &[vec![0.9]],
-        3,
-        &NelderMeadOptions::default(),
-    );
-    assert!((r.x[0] - 0.25).abs() < 1e-4);
-}
-
-#[test]
 fn concurrent_multi_starts_match_sequential_bit_for_bit() {
     // Four callers share the fan-out pool at once; each must get the
     // result of running its starts one after another on one thread.
     let f =
         |x: &[f64]| (x[0] - 0.3).powi(2) + (x[1] + 0.7).powi(2) + 0.1 * (5.0 * x[0] * x[1]).sin();
     let ranges = [SampleRange { lo: -2.0, hi: 2.0 }, SampleRange { lo: -2.0, hi: 2.0 }];
-    let extra = [vec![1.5, -1.5]];
     let opts = NelderMeadOptions::default();
+    // Nine starts: two full lane groups and a third with one start.
     let sequential = |seed: u64| {
-        let mut starts = latin_hypercube(&ranges, 8, &mut SmallRng::seed_from_u64(seed));
-        starts.extend(extra.iter().cloned());
-        starts
+        latin_hypercube(&ranges, 9, &mut SmallRng::seed_from_u64(seed))
             .iter()
             .map(|x0| nelder_mead(f, x0, &opts))
             .min_by(|a, b| a.fx.total_cmp(&b.fx))
             .expect("starts")
     };
-    let pooled = |seed: u64| multi_start_nelder_mead_with(|| f, &ranges, 8, &extra, seed, &opts);
+    let pooled = |seed: u64| multi_start_nelder_mead(f, &ranges, 9, seed, &opts);
     let bits =
         |r: &OptResult| (r.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), r.fx.to_bits());
     let start = std::sync::Barrier::new(4);
@@ -245,12 +197,9 @@ fn lockstep_starts_match_sequential_runs_bit_for_bit() {
             wall: -2.0 + 0.2 * seed as f64,
         };
         let opts = &budgets[seed as usize % 2];
-        for n_starts in 1..=9usize {
-            // Up to two extra starts after the Latin-hypercube draw,
-            // one of them exactly on the soft wall.
-            let extra: Vec<Vec<f64>> =
-                [vec![1.0, -1.0, obj.wall], vec![2.4, 1.9, 0.0]][..n_starts % 3].to_vec();
-            let starts = multi_starts(&ranges, n_starts, &extra, seed);
+        // Every group size: one to three groups, the last one full or ragged.
+        for n_starts in 1..=11usize {
+            let starts = multi_starts(&ranges, n_starts, seed);
             let walled = |x: &[f64]| if obj.walled(x) { f64::INFINITY } else { obj.value(x) };
             // The sequential side is the reference stepper, one start at a time.
             let sequential: Vec<OptResult> =
@@ -282,8 +231,7 @@ fn lockstep_starts_match_sequential_runs_bit_for_bit() {
             exhausted += sequential.iter().filter(|r| !r.converged).count();
 
             // The scalar entry point, one point at a time, agrees too.
-            let pointwise =
-                multi_start_nelder_mead_with(|| walled, &ranges, n_starts, &extra, seed, opts);
+            let pointwise = multi_start_nelder_mead(walled, &ranges, n_starts, seed, opts);
             assert_eq!(opt_bits(&pointwise), opt_bits(first_best));
         }
     }
@@ -443,7 +391,8 @@ fn fixed_stepper_matches_the_reference_bit_for_bit_at_every_dimension() {
             // every other coordinate exactly zero (the absolute bump).
             let mut on_wall = vec![0.0; dim];
             on_wall[dim - 1] = terrain.wall;
-            let starts = multi_starts(&ranges, 5, &[on_wall], seed);
+            let mut starts = multi_starts(&ranges, 5, seed);
+            starts.push(on_wall);
             for opts in &budgets {
                 let reference: Vec<(OptResult, reference::VecNelderMead)> = starts
                     .iter()
@@ -525,17 +474,17 @@ fn a_start_past_max_dim_is_rejected() {
 #[should_panic(expected = "nelder_mead: 17 coordinates; at most MAX_DIM = 16 are supported")]
 fn a_lane_group_rejects_a_start_past_max_dim() {
     let f = |x: &[f64]| x.iter().sum::<f64>();
-    let mut group = LaneGroup::new(f);
-    group.run(&PointWise(PhantomData), &[vec![0.5; MAX_DIM + 1]], &NelderMeadOptions::default());
+    let mut group = LaneGroup::new(());
+    group.run(&PointWise(f), &[vec![0.5; MAX_DIM + 1]], &NelderMeadOptions::default());
 }
 
 #[test]
 #[should_panic(expected = "nelder_mead: a start of 2 coordinates among starts of 3")]
 fn a_lane_group_rejects_starts_of_unequal_length() {
     let f = |x: &[f64]| x.iter().sum::<f64>();
-    let mut group = LaneGroup::new(f);
+    let mut group = LaneGroup::new(());
     let starts = [vec![0.5; 3], vec![0.5; 2]];
-    group.run(&PointWise(PhantomData), &starts, &NelderMeadOptions::default());
+    group.run(&PointWise(f), &starts, &NelderMeadOptions::default());
 }
 
 #[test]

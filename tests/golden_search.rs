@@ -13,7 +13,7 @@
 //! ```
 
 use mlcd::prelude::*;
-use mlcd::search::{CherryPick, ConvBo, RefitPolicy, Surrogate};
+use mlcd::search::{CherryPick, ConvBo, Surrogate};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -121,12 +121,12 @@ fn golden_heterbo_refits_fill_their_lanes() {
     let observations: Vec<Observation> =
         outcome.search.steps.iter().map(|s| s.observation).collect();
     assert!(observations.len() >= 6, "{} probes", observations.len());
-    // HeterBO's refit policy: a full, cold refit at every step.
-    let policy = RefitPolicy { refit_every: 1, warm_start: false, ..RefitPolicy::default() };
+    // HeterBO's refit cadence: a full refit at every step.
+    let refit_every = 1;
     let mut surrogate: Option<Surrogate> = None;
     let mut start_evals = 0;
     for k in 2..=observations.len() {
-        surrogate = Surrogate::update(surrogate, &space, &observations[..k], seed, &policy);
+        surrogate = Surrogate::update(surrogate, &space, &observations[..k], seed, refit_every);
         let scratch = surrogate.as_ref().expect("two or more observations fit").fit_scratch();
         start_evals += scratch.last_fit().iter().map(|r| r.evals as u64).sum::<u64>();
     }
